@@ -92,8 +92,8 @@ pub enum Recovery {
     /// No recovery: the static placement degrades for the whole run.
     None,
     /// Offline pre-repair: units are moved off every node that will
-    /// *ever* brown out, before serving starts — the a-priori
-    /// `resilience` path the engine subsumes, with perfect foresight
+    /// *ever* brown out, before serving starts — the a-priori §V
+    /// resilience repair the engine subsumes, with perfect foresight
     /// and free state transfer.
     Static,
     /// The runtime engine, warm-started incremental search under the

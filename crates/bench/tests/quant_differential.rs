@@ -8,6 +8,9 @@
 //!    and every logit stays within a small error band around its f32
 //!    value (scaled by the sample's logit spread, since symmetric
 //!    per-tensor quantization has input-dependent absolute error).
+//!    Across the same sweep, a lossless fabric reproduces the in-memory
+//!    passes bit for bit, for both numerics, traced or not, and for a
+//!    training epoch.
 //! 2. **Thread-invariant**: the E12 report and its trace export are
 //!    byte-identical between a serial and a 4-thread sweep runner.
 //! 3. **Layout-invariant**: serving the identical int8 tenant workload
@@ -20,11 +23,14 @@ use std::collections::BTreeMap;
 use zeiot_bench::experiments::e12_quant;
 use zeiot_bench::sweep::SweepRunner;
 use zeiot_core::rng::SeedRng;
-use zeiot_core::time::SimDuration;
-use zeiot_microdeep::{Assignment, CnnConfig, DistributedCnn, QuantizedCnn, WeightUpdate};
+use zeiot_core::time::{SimDuration, SimTime};
+use zeiot_fault::{FaultPlan, RecoveryPolicy};
+use zeiot_microdeep::{
+    Assignment, CnnConfig, DistributedCnn, LossyRuntime, QuantizedCnn, WeightUpdate,
+};
 use zeiot_net::Topology;
 use zeiot_nn::tensor::Tensor;
-use zeiot_obs::trace::traces_to_jsonl;
+use zeiot_obs::trace::{traces_to_jsonl, SpanLayer, TraceSampler, Tracer};
 use zeiot_serve::{ArrivalProcess, Outcome, QuantMode, ServeConfig, Server, Tenant, TenantSpec};
 
 /// Two-class 8×8 synthetic scenes: class 0 lights the upper-left
@@ -77,6 +83,20 @@ fn trained_pair(
     (net, quantized, test.to_vec())
 }
 
+/// A fabric over `topo` that delivers every message untouched.
+fn lossless(topo: &Topology) -> LossyRuntime {
+    LossyRuntime::new(
+        FaultPlan::lossless(),
+        RecoveryPolicy::FailFast,
+        topo,
+        SimDuration::from_millis(500),
+    )
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn int8_tracks_f32_across_topologies_and_seeds() {
     let cases: Vec<(u64, Topology, WeightUpdate)> = vec![
@@ -100,16 +120,43 @@ fn int8_tracks_f32_across_topologies_and_seeds() {
             Topology::grid(2, 5, 2.0, 3.0).unwrap(),
             WeightUpdate::Independent,
         ),
+        (
+            61,
+            Topology::grid(4, 3, 2.0, 3.0).unwrap(),
+            WeightUpdate::Synchronized,
+        ),
     ];
 
     let mut total = 0usize;
     let mut agreed = 0usize;
     for (seed, topo, update) in cases {
-        let (mut f32_model, mut int8_model, test) = trained_pair(seed, topo, update);
+        let (mut f32_model, mut int8_model, test) = trained_pair(seed, topo.clone(), update);
+        let mut rt = lossless(&topo);
+        let mut tracer = Tracer::new(TraceSampler::always());
         let mut case_agreed = 0usize;
-        for (x, _) in &test {
+        for (seq, (x, _)) in (0u64..).zip(&test) {
             let f = f32_model.forward(x);
             let q = int8_model.forward_quantized(x);
+
+            // Lossless fabric == in-memory pass, bit for bit.
+            let f_fabric = f32_model
+                .forward_lossy(x, &mut rt)
+                .expect("lossless never aborts");
+            assert_eq!(bits(&f), bits(&f_fabric), "seed {seed}: f32 fabric pass");
+            let q_fabric = int8_model
+                .forward_quantized_lossy_traced(x, &mut rt, None)
+                .expect("lossless never aborts");
+            assert_eq!(bits(&q), bits(&q_fabric), "seed {seed}: int8 fabric pass");
+            let root = tracer
+                .begin(0, seq, "serve.request", SpanLayer::Request, SimTime::ZERO)
+                .unwrap();
+            let mut scope = tracer.scope(0, seq, root).unwrap();
+            let q_traced = int8_model
+                .forward_quantized_lossy_traced(x, &mut rt, Some(&mut scope))
+                .expect("lossless never aborts");
+            assert_eq!(bits(&q), bits(&q_traced), "seed {seed}: traced int8 pass");
+            rt.advance_pass();
+
             if f.argmax() == q.argmax() {
                 case_agreed += 1;
             }
@@ -128,6 +175,33 @@ fn int8_tracks_f32_across_topologies_and_seeds() {
             case_agreed * 10 >= test.len() * 8,
             "seed {seed}: top-1 agreement {case_agreed}/{}",
             test.len()
+        );
+
+        // A lossless training epoch is the in-memory epoch, bit for bit.
+        let mut plain = f32_model.clone();
+        let mut fabric = f32_model;
+        let plain_loss = plain.train_epoch(&test, 0.08, 8, &mut SeedRng::with_stream(seed, 0xE90C));
+        let fabric_loss = fabric
+            .train_epoch_lossy(
+                &test,
+                0.08,
+                8,
+                &mut SeedRng::with_stream(seed, 0xE90C),
+                &mut lossless(&topo),
+            )
+            .expect("lossless epoch completes");
+        assert_eq!(plain_loss.to_bits(), fabric_loss.to_bits(), "seed {seed}");
+        for (x, _) in &test {
+            assert_eq!(
+                bits(&plain.forward(x)),
+                bits(&fabric.forward(x)),
+                "seed {seed}"
+            );
+        }
+        assert_eq!(
+            plain.to_json(),
+            fabric.to_json(),
+            "seed {seed}: trained weights"
         );
         total += test.len();
         agreed += case_agreed;

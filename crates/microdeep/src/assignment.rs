@@ -283,8 +283,8 @@ impl Assignment {
         }
     }
 
-    /// Overrides the host of a computational unit (used by resilience
-    /// re-assignment).
+    /// Overrides the host of a computational unit (used by the
+    /// re-placement engine).
     ///
     /// # Panics
     ///

@@ -24,13 +24,14 @@
 
 use crate::assignment::Assignment;
 use crate::config::CnnConfig;
+use crate::exec::{self, Colocated, Numerics, Wire, STAGE_INPUT_CONV, STAGE_POOL_HIDDEN};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use zeiot_core::id::NodeId;
 use zeiot_core::rng::SeedRng;
-use zeiot_nn::loss::cross_entropy;
 use zeiot_nn::tensor::Tensor;
-use zeiot_obs::{Label, Recorder};
+use zeiot_obs::Recorder;
 
 /// How convolution kernel replicas are updated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,16 +49,6 @@ pub enum WeightUpdate {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct UnitKernels {
-    /// `[units, in_channels, k, k]` — one kernel per conv output unit.
-    pub(crate) weights: Tensor,
-    /// `[units]`.
-    pub(crate) bias: Tensor,
-    pub(crate) grad_weights: Tensor,
-    pub(crate) grad_bias: Tensor,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct ConvReplica {
     pub(crate) weights: Tensor, // [oc, ic, k, k]
     pub(crate) bias: Tensor,    // [oc]
@@ -67,51 +58,35 @@ pub(crate) struct ConvReplica {
     pub(crate) units: usize,
 }
 
+/// A weight table with its gradient accumulators: a dense layer
+/// (`[out, in]`, `[out]`), or the per-unit conv kernels of a
+/// [`WeightUpdate::PerUnit`] model (`[units, in_channels, k, k]`, `[units]`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct DenseParams {
-    pub(crate) weights: Tensor, // [out, in]
+pub(crate) struct Params {
+    pub(crate) weights: Tensor,
     pub(crate) bias: Tensor,
     pub(crate) grad_weights: Tensor,
     pub(crate) grad_bias: Tensor,
 }
 
-impl DenseParams {
+impl Params {
+    /// A freshly initialized dense layer.
     fn new(in_len: usize, out_len: usize, rng: &mut SeedRng) -> Self {
         let scale = (6.0 / in_len as f32).sqrt();
+        Self::with_weights(Tensor::uniform(vec![out_len, in_len], scale, rng))
+    }
+
+    /// A table over `weights` with zero biases and gradients.
+    fn with_weights(weights: Tensor) -> Self {
+        let (shape, out) = (weights.shape().to_vec(), weights.shape()[0]);
+        let (bias, grad_bias) = (Tensor::zeros(vec![out]), Tensor::zeros(vec![out]));
+        let grad_weights = Tensor::zeros(shape);
         Self {
-            weights: Tensor::uniform(vec![out_len, in_len], scale, rng),
-            bias: Tensor::zeros(vec![out_len]),
-            grad_weights: Tensor::zeros(vec![out_len, in_len]),
-            grad_bias: Tensor::zeros(vec![out_len]),
+            weights,
+            bias,
+            grad_weights,
+            grad_bias,
         }
-    }
-
-    fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let out_len = self.bias.len();
-        let in_len = x.len();
-        (0..out_len)
-            .map(|o| {
-                let row = &self.weights.data()[o * in_len..(o + 1) * in_len];
-                self.bias.data()[o] + row.iter().zip(x).map(|(w, v)| w * v).sum::<f32>()
-            })
-            .collect()
-    }
-
-    fn backward(&mut self, x: &[f32], grad_out: &[f32]) -> Vec<f32> {
-        let in_len = x.len();
-        let mut grad_in = vec![0.0f32; in_len];
-        for (o, &g) in grad_out.iter().enumerate() {
-            if g == 0.0 {
-                continue;
-            }
-            self.grad_bias.data_mut()[o] += g;
-            let row_start = o * in_len;
-            for i in 0..in_len {
-                self.grad_weights.data_mut()[row_start + i] += g * x[i];
-                grad_in[i] += g * self.weights.data()[row_start + i];
-            }
-        }
-        grad_in
     }
 
     fn apply(&mut self, lr: f32) {
@@ -119,6 +94,12 @@ impl DenseParams {
         self.bias.add_scaled(&self.grad_bias, -lr);
         self.grad_weights.fill_zero();
         self.grad_bias.fill_zero();
+    }
+
+    /// Whether weights and gradients have `shape`, and biases `shape[0]`.
+    fn shaped(&self, shape: &[usize]) -> bool {
+        let (w, g) = (self.weights.shape(), self.grad_weights.shape());
+        w == shape && g == shape && self.bias.len() == shape[0] && self.grad_bias.len() == shape[0]
     }
 }
 
@@ -154,9 +135,9 @@ pub struct DistributedCnn {
     /// Host node of each conv output unit (layer-1 unit order).
     pub(crate) conv_unit_host: Vec<NodeId>,
     pub(crate) replicas: BTreeMap<NodeId, ConvReplica>,
-    pub(crate) per_unit: Option<UnitKernels>,
-    pub(crate) dense1: DenseParams,
-    pub(crate) dense2: DenseParams,
+    pub(crate) per_unit: Option<Params>,
+    pub(crate) dense1: Params,
+    pub(crate) dense2: Params,
     // Forward caches.
     pub(crate) last_input: Option<Tensor>,
     pub(crate) conv_pre_relu: Vec<f32>,
@@ -225,16 +206,11 @@ impl DistributedCnn {
                 let src = &init_w.data()[o * kernel_len..(o + 1) * kernel_len];
                 weights.data_mut()[unit * kernel_len..(unit + 1) * kernel_len].copy_from_slice(src);
             }
-            UnitKernels {
-                weights,
-                bias: Tensor::zeros(vec![conv_units]),
-                grad_weights: Tensor::zeros(vec![conv_units, ic, k, k]),
-                grad_bias: Tensor::zeros(vec![conv_units]),
-            }
+            Params::with_weights(weights)
         });
 
-        let dense1 = DenseParams::new(config.feature_len(), config.hidden(), rng);
-        let dense2 = DenseParams::new(config.hidden(), config.classes(), rng);
+        let dense1 = Params::new(config.feature_len(), config.hidden(), rng);
+        let dense2 = Params::new(config.hidden(), config.classes(), rng);
         Self {
             config,
             update,
@@ -294,92 +270,38 @@ impl DistributedCnn {
     /// parameter tensors have the shapes the config dictates.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let c = &self.config;
-        let graph = c.unit_graph().map_err(|e| format!("invalid config: {e}"))?;
-        if self.assignment.layer_count() != graph.layer_count() {
-            return Err(format!(
-                "assignment has {} layers, config's unit graph has {}",
-                self.assignment.layer_count(),
-                graph.layer_count()
-            ));
-        }
-        if self.assignment.input_count() != graph.units_in_layer(0) {
-            return Err(format!(
-                "assignment pins {} input units, config has {}",
-                self.assignment.input_count(),
-                graph.units_in_layer(0)
-            ));
-        }
-        for (i, &size) in self.assignment.layer_sizes().iter().enumerate() {
-            let expected = graph.units_in_layer(i + 1);
-            if size != expected {
-                return Err(format!(
-                    "assignment layer {} has {size} units, config needs {expected}",
-                    i + 1
-                ));
-            }
-        }
-        let conv_units = graph.units_in_layer(1);
-        if self.conv_unit_host.len() != conv_units {
-            return Err(format!(
-                "conv host table has {} entries, config has {conv_units} conv units",
-                self.conv_unit_host.len()
-            ));
-        }
-        let mut expected_units: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (u, &host) in self.conv_unit_host.iter().enumerate() {
-            if host != self.assignment.host_of(1, u) {
-                return Err(format!(
-                    "conv unit {u} hosted on {host:?} but assigned to {:?}",
-                    self.assignment.host_of(1, u)
-                ));
-            }
-            *expected_units.entry(host).or_default() += 1;
-        }
-        if !self.replicas.keys().eq(expected_units.keys()) {
-            return Err(format!(
-                "replica nodes {:?} disagree with hosting nodes {:?}",
-                self.replicas.keys().collect::<Vec<_>>(),
-                expected_units.keys().collect::<Vec<_>>()
-            ));
-        }
+        let hosted = validate_placement(
+            c,
+            &self.assignment,
+            &self.conv_unit_host,
+            self.replicas.keys(),
+        )?;
         let (oc, ic, k) = (c.conv_channels(), c.in_channels(), c.kernel());
+        let kernel = [oc, ic, k, k];
         for (node, rep) in &self.replicas {
-            if rep.units != expected_units[node] {
+            let shaped = rep.weights.shape() == kernel && rep.grad_weights.shape() == kernel;
+            let biased = rep.bias.len() == oc && rep.grad_bias.len() == oc;
+            if Some(&rep.units) != hosted.get(node) || !shaped || !biased {
                 return Err(format!(
-                    "replica on {node:?} claims {} units, hosts {}",
-                    rep.units, expected_units[node]
+                    "replica on {node:?} claims {} units (hosts {:?}), kernel shape {:?}",
+                    rep.units,
+                    hosted.get(node),
+                    rep.weights.shape()
                 ));
             }
-            if rep.weights.shape() != [oc, ic, k, k] || rep.bias.len() != oc {
-                return Err(format!("replica on {node:?} has wrong kernel shape"));
-            }
-            if rep.grad_weights.shape() != rep.weights.shape()
-                || rep.grad_bias.len() != rep.bias.len()
-            {
-                return Err(format!("replica on {node:?} has wrong gradient shape"));
-            }
         }
-        if (self.update == WeightUpdate::PerUnit) != self.per_unit.is_some() {
-            return Err(format!(
-                "per-unit kernels present: {}, update mode: {:?}",
-                self.per_unit.is_some(),
-                self.update
-            ));
+        let units = self.conv_unit_host.len();
+        let per_unit_ok = match (&self.per_unit, self.update) {
+            (Some(pk), WeightUpdate::PerUnit) => pk.shaped(&[units, ic, k, k]),
+            (per_unit, update) => per_unit.is_none() && update != WeightUpdate::PerUnit,
+        };
+        if !per_unit_ok {
+            return Err(format!("per-unit kernels disagree with {:?}", self.update));
         }
-        if let Some(pk) = &self.per_unit {
-            if pk.weights.shape() != [conv_units, ic, k, k] || pk.bias.len() != conv_units {
-                return Err("per-unit kernel table has wrong shape".to_string());
-            }
-        }
-        if self.dense1.weights.shape() != [c.hidden(), c.feature_len()]
-            || self.dense1.bias.len() != c.hidden()
+        if !self.dense1.shaped(&[c.hidden(), c.feature_len()])
+            || !self.dense2.shaped(&[c.classes(), c.hidden()])
         {
-            return Err("dense1 parameters have wrong shape".to_string());
-        }
-        if self.dense2.weights.shape() != [c.classes(), c.hidden()]
-            || self.dense2.bias.len() != c.classes()
-        {
-            return Err("dense2 parameters have wrong shape".to_string());
+            return Err("dense parameters have the wrong shape".to_string());
         }
         Ok(())
     }
@@ -452,100 +374,13 @@ impl DistributedCnn {
 
     /// Forward pass; numerically identical to the centralized baseline
     /// whenever all replicas are equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input shape disagrees with the config.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let c = &self.config;
-        assert_eq!(
-            input.shape(),
-            &[c.in_channels(), c.in_height(), c.in_width()],
-            "input shape mismatch"
-        );
-        let (oh, ow) = c.conv_dims();
-        let (ph, pw) = c.pool_dims();
-        let oc = c.conv_channels();
-        let k = c.kernel();
-        let (ih, iw) = (c.in_height(), c.in_width());
-
-        // Convolution with per-node replicas or per-unit kernels, ReLU
-        // fused afterwards.
-        let kernel_len = c.in_channels() * k * k;
-        let mut conv = vec![0.0f32; oc * oh * ow];
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let unit = o * oh * ow + oy * ow + ox;
-                    let (weights, bias): (&[f32], f32) = match &self.per_unit {
-                        Some(pk) => (
-                            &pk.weights.data()[unit * kernel_len..(unit + 1) * kernel_len],
-                            pk.bias.data()[unit],
-                        ),
-                        None => {
-                            let rep = &self.replicas[&self.conv_unit_host[unit]];
-                            (
-                                &rep.weights.data()[o * kernel_len..(o + 1) * kernel_len],
-                                rep.bias.data()[o],
-                            )
-                        }
-                    };
-                    let mut acc = bias;
-                    let mut w_off = 0;
-                    for icn in 0..c.in_channels() {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let iy = oy + ky;
-                                let ix = ox + kx;
-                                acc += weights[w_off] * input.data()[icn * ih * iw + iy * iw + ix];
-                                w_off += 1;
-                            }
-                        }
-                    }
-                    conv[unit] = acc;
-                }
-            }
-        }
-        self.conv_pre_relu = conv.clone();
-        let relu: Vec<f32> = conv.iter().map(|&v| v.max(0.0)).collect();
-
-        // Max pooling.
-        let mut pooled = vec![0.0f32; oc * ph * pw];
-        let mut argmax = vec![0usize; oc * ph * pw];
-        let p = c.pool();
-        for ch in 0..oc {
-            for py in 0..ph {
-                for px in 0..pw {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_off = 0;
-                    for ky in 0..p {
-                        for kx in 0..p {
-                            let y = py * p + ky;
-                            let x = px * p + kx;
-                            let off = ch * oh * ow + y * ow + x;
-                            if relu[off] > best {
-                                best = relu[off];
-                                best_off = off;
-                            }
-                        }
-                    }
-                    pooled[ch * ph * pw + py * pw + px] = best;
-                    argmax[ch * ph * pw + py * pw + px] = best_off;
-                }
-            }
-        }
-        self.pool_out = pooled.clone();
-        self.pool_argmax = argmax;
-
-        // Dense 1 + ReLU, dense 2.
-        let hidden_pre = self.dense1.forward(&pooled);
-        self.hidden_pre_relu = hidden_pre.clone();
-        let hidden: Vec<f32> = hidden_pre.iter().map(|&v| v.max(0.0)).collect();
-        self.hidden_out = hidden.clone();
-        let logits = self.dense2.forward(&hidden);
-        self.last_input = Some(input.clone());
-        Tensor::from_vec(vec![c.classes()], logits).expect("logit shape")
-    }
-
-    /// Predicted class for an input.
-    pub fn predict(&mut self, input: &Tensor) -> usize {
-        self.forward(input).argmax()
+        // zeiot-audit: allow(p1) -- the colocated link never drops a value, so the pass always completes
+        exec::forward(self, input, &mut Colocated).expect("colocated passes complete")
     }
 
     /// Backward pass from a loss gradient on the logits, accumulating
@@ -555,104 +390,19 @@ impl DistributedCnn {
     ///
     /// Panics if called before [`DistributedCnn::forward`].
     pub fn backward(&mut self, grad_logits: &Tensor) {
-        let input = self
-            .last_input
-            .as_ref()
-            .expect("backward before forward")
-            .clone();
-        let c = &self.config;
-        let (oh, ow) = c.conv_dims();
-        let oc = c.conv_channels();
-        let k = c.kernel();
-        let (ih, iw) = (c.in_height(), c.in_width());
-
-        // Dense 2 ← logits.
-        let hidden_out = self.hidden_out.clone();
-        let grad_hidden = self.dense2.backward(&hidden_out, grad_logits.data());
-        // ReLU on hidden.
-        let grad_hidden_pre: Vec<f32> = grad_hidden
-            .iter()
-            .zip(&self.hidden_pre_relu)
-            .map(|(&g, &v)| if v > 0.0 { g } else { 0.0 })
-            .collect();
-        // Dense 1 ← hidden.
-        let pool_out = self.pool_out.clone();
-        let grad_pool = self.dense1.backward(&pool_out, &grad_hidden_pre);
-        // Un-pool: gradient flows to argmax positions.
-        let mut grad_relu = vec![0.0f32; oc * oh * ow];
-        for (i, &src) in self.pool_argmax.iter().enumerate() {
-            grad_relu[src] += grad_pool[i];
-        }
-        // ReLU on conv.
-        let grad_conv: Vec<f32> = grad_relu
-            .iter()
-            .zip(&self.conv_pre_relu)
-            .map(|(&g, &v)| if v > 0.0 { g } else { 0.0 })
-            .collect();
-        // Convolution: accumulate into the owning kernel (the hosting
-        // node's replica, or the unit's own kernel in PerUnit mode).
-        let kernel_len = c.in_channels() * k * k;
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let unit = o * oh * ow + oy * ow + ox;
-                    let g = grad_conv[unit];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    let (grad_w, grad_b_slot): (&mut [f32], &mut f32) = match &mut self.per_unit {
-                        Some(pk) => (
-                            &mut pk.grad_weights.data_mut()
-                                [unit * kernel_len..(unit + 1) * kernel_len],
-                            &mut pk.grad_bias.data_mut()[unit],
-                        ),
-                        None => {
-                            let rep = self
-                                .replicas
-                                .get_mut(&self.conv_unit_host[unit])
-                                .expect("replica exists");
-                            (
-                                &mut rep.grad_weights.data_mut()
-                                    [o * kernel_len..(o + 1) * kernel_len],
-                                &mut rep.grad_bias.data_mut()[o],
-                            )
-                        }
-                    };
-                    *grad_b_slot += g;
-                    let mut w_off = 0;
-                    for icn in 0..c.in_channels() {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let iy = oy + ky;
-                                let ix = ox + kx;
-                                grad_w[w_off] += g * input.data()[icn * ih * iw + iy * iw + ix];
-                                w_off += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        exec::backward(self, grad_logits, &mut Colocated);
     }
 
     /// Applies accumulated gradients according to the update mode.
     pub fn apply_gradients(&mut self, lr: f32) {
-        if let Some(pk) = &mut self.per_unit {
+        let units = self.conv_unit_host.len();
+        match (&mut self.per_unit, self.update) {
             // Locally-connected: each unit's gradient is complete for its
             // own kernel, but carries ~1/positions of the gradient mass a
             // shared kernel would accumulate; compensate so the units
             // learn at the shared-kernel pace.
-            let positions = (self.conv_unit_host.len() / self.config.conv_channels()) as f32;
-            pk.weights.add_scaled(&pk.grad_weights, -lr * positions);
-            pk.bias.add_scaled(&pk.grad_bias, -lr * positions);
-            pk.grad_weights.fill_zero();
-            pk.grad_bias.fill_zero();
-            self.dense1.apply(lr);
-            self.dense2.apply(lr);
-            return;
-        }
-        match self.update {
-            WeightUpdate::Synchronized => {
+            (Some(pk), _) => pk.apply(lr * (units / self.config.conv_channels()) as f32),
+            (None, WeightUpdate::Synchronized) => {
                 // Sum replica gradients (each unit contributed to exactly
                 // one replica, so the sum is the full-batch gradient) and
                 // apply the common update to every replica.
@@ -672,8 +422,7 @@ impl DistributedCnn {
                     rep.grad_bias.fill_zero();
                 }
             }
-            WeightUpdate::PerUnit => unreachable!("handled by the early return above"),
-            WeightUpdate::Independent => {
+            (None, _) => {
                 for rep in self.replicas.values_mut() {
                     // Mild compensation for seeing only a fraction of the
                     // units' gradients: scale by the square root of the
@@ -682,7 +431,7 @@ impl DistributedCnn {
                     // destroys accuracy; none makes them learn too
                     // slowly.
                     let boost = if rep.units > 0 {
-                        (self.conv_unit_host.len() as f32 / rep.units as f32).sqrt()
+                        (units as f32 / rep.units as f32).sqrt()
                     } else {
                         0.0
                     };
@@ -709,7 +458,9 @@ impl DistributedCnn {
         batch_size: usize,
         rng: &mut SeedRng,
     ) -> f32 {
-        self.train_epoch_inner(data, lr, batch_size, rng, None)
+        let (total, completed) =
+            exec::train_epoch(self, data, lr, batch_size, rng, &mut Colocated, None);
+        total / completed as f32
     }
 
     /// Like [`DistributedCnn::train_epoch`], additionally recording
@@ -731,44 +482,16 @@ impl DistributedCnn {
         rng: &mut SeedRng,
         recorder: &mut Recorder,
     ) -> f32 {
-        self.train_epoch_inner(data, lr, batch_size, rng, Some(recorder))
-    }
-
-    fn train_epoch_inner(
-        &mut self,
-        data: &[(Tensor, usize)],
-        lr: f32,
-        batch_size: usize,
-        rng: &mut SeedRng,
-        mut observe: Option<&mut Recorder>,
-    ) -> f32 {
-        assert!(!data.is_empty() && batch_size > 0, "invalid training call");
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        rng.shuffle(&mut order);
-        let mut total = 0.0;
-        for batch in order.chunks(batch_size) {
-            let mut batch_loss = 0.0;
-            for &i in batch {
-                let (x, t) = &data[i];
-                let logits = self.forward(x);
-                let (loss, grad) = cross_entropy(&logits, *t);
-                batch_loss += loss;
-                self.backward(&grad);
-            }
-            total += batch_loss;
-            self.apply_gradients(lr / batch.len() as f32);
-            if let Some(rec) = observe.as_deref_mut() {
-                let drift = self.replica_divergence();
-                rec.set_gauge("microdeep.replica_drift", Label::Global, drift);
-                rec.observe("microdeep.replica_drift_step", Label::Global, drift);
-                rec.observe(
-                    "microdeep.batch_loss",
-                    Label::Global,
-                    f64::from(batch_loss / batch.len() as f32),
-                );
-            }
-        }
-        total / data.len() as f32
+        let (total, completed) = exec::train_epoch(
+            self,
+            data,
+            lr,
+            batch_size,
+            rng,
+            &mut Colocated,
+            Some(recorder),
+        );
+        total / completed as f32
     }
 
     /// Accuracy over a labelled set.
@@ -777,9 +500,143 @@ impl DistributedCnn {
     ///
     /// Panics if `data` is empty.
     pub fn accuracy(&mut self, data: &[(Tensor, usize)]) -> f64 {
-        assert!(!data.is_empty(), "empty evaluation set");
-        let correct = data.iter().filter(|(x, t)| self.predict(x) == *t).count();
-        correct as f64 / data.len() as f64
+        exec::accuracy(self, data, &mut Colocated)
+    }
+}
+
+/// Checks a deployment's placement against its config: the assignment
+/// matches the config's unit graph, the conv host table agrees with the
+/// assignment, and the kernel replicas sit exactly on the nodes hosting
+/// conv units. Returns the number of conv units on each hosting node.
+pub(crate) fn validate_placement<'a>(
+    c: &CnnConfig,
+    assignment: &Assignment,
+    conv_unit_host: &[NodeId],
+    replica_nodes: impl Iterator<Item = &'a NodeId>,
+) -> Result<BTreeMap<NodeId, usize>, String> {
+    let graph = c.unit_graph().map_err(|e| format!("invalid config: {e}"))?;
+    let needed: Vec<usize> = (0..graph.layer_count())
+        .map(|l| graph.units_in_layer(l))
+        .collect();
+    let placed: Vec<usize> = std::iter::once(assignment.input_count())
+        .chain(assignment.layer_sizes().iter().copied())
+        .collect();
+    if placed != needed {
+        return Err(format!(
+            "assignment places {placed:?} units per layer, config needs {needed:?}"
+        ));
+    }
+    if conv_unit_host.len() != needed[1] {
+        return Err(format!(
+            "conv host table has {} entries, config has {} conv units",
+            conv_unit_host.len(),
+            needed[1]
+        ));
+    }
+    let mut hosted: BTreeMap<NodeId, usize> = BTreeMap::new();
+    for (u, &host) in conv_unit_host.iter().enumerate() {
+        if host != assignment.host_of(1, u) {
+            return Err(format!(
+                "conv unit {u} hosted on {host:?} but assigned to {:?}",
+                assignment.host_of(1, u)
+            ));
+        }
+        *hosted.entry(host).or_default() += 1;
+    }
+    if !replica_nodes.eq(hosted.keys()) {
+        return Err(format!(
+            "replica nodes disagree with hosting nodes {:?}",
+            hosted.keys().collect::<Vec<_>>()
+        ));
+    }
+    Ok(hosted)
+}
+
+impl Wire for f32 {
+    const FLOOR: Self = f32::NEG_INFINITY;
+
+    #[inline]
+    fn to_wire(self) -> f32 {
+        self
+    }
+
+    #[inline]
+    fn from_wire(image: f32) -> Self {
+        image
+    }
+}
+
+/// The training numerics: f32 throughout, caching every layer for
+/// [`DistributedCnn::backward`] (and [`crate::QuantizedCnn::new`]'s
+/// calibration).
+impl Numerics for DistributedCnn {
+    type W = f32;
+    type Act = f32;
+    type Acc = f32;
+    const HOPS: [&'static str; 4] = ["hop.conv", "hop.pool", "hop.hidden", "hop.logit"];
+
+    fn plan(&self) -> (&CnnConfig, &Assignment) {
+        (&self.config, &self.assignment)
+    }
+
+    fn load<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [f32]> {
+        Cow::Borrowed(input.data())
+    }
+
+    // Inlined so the accumulator it seeds stays in a register.
+    #[inline(always)]
+    fn conv_kernel(&self, unit: usize, channel: usize) -> (&[f32], f32) {
+        let kernel_len = self.config.in_channels() * self.config.kernel() * self.config.kernel();
+        let (table, slot) = match &self.per_unit {
+            Some(pk) => ((&pk.weights, &pk.bias), unit),
+            None => {
+                let rep = &self.replicas[&self.conv_unit_host[unit]];
+                ((&rep.weights, &rep.bias), channel)
+            }
+        };
+        let weights = &table.0.data()[slot * kernel_len..(slot + 1) * kernel_len];
+        (weights, table.1.data()[slot])
+    }
+
+    fn dense(&self, stage: u64) -> (&[f32], &[f32]) {
+        let layer = if stage == STAGE_POOL_HIDDEN {
+            &self.dense1
+        } else {
+            &self.dense2
+        };
+        (layer.weights.data(), layer.bias.data())
+    }
+
+    #[inline]
+    fn mac(acc: f32, w: f32, x: f32) -> f32 {
+        acc + w * x
+    }
+
+    #[inline]
+    fn dot(bias: f32, row: &[f32], x: &[f32]) -> f32 {
+        bias + row.iter().zip(x).map(|(w, v)| w * v).sum::<f32>()
+    }
+
+    fn activate(&mut self, stage: u64, pre: Vec<f32>) -> Vec<f32> {
+        let relu: Vec<f32> = pre.iter().map(|&v| v.max(0.0)).collect();
+        if stage == STAGE_INPUT_CONV {
+            self.conv_pre_relu = pre;
+        } else {
+            self.hidden_pre_relu = pre;
+            self.hidden_out.clone_from(&relu);
+        }
+        relu
+    }
+
+    fn pooled(&mut self, pooled: &[f32], argmax: Vec<usize>) {
+        self.pool_out.clear();
+        self.pool_out.extend_from_slice(pooled);
+        self.pool_argmax = argmax;
+    }
+
+    fn finish(&mut self, input: &Tensor, logits: Vec<f32>) -> Vec<f32> {
+        self.last_input = Some(input.clone());
+        logits
     }
 }
 
@@ -787,6 +644,7 @@ impl DistributedCnn {
 mod tests {
     use super::*;
     use zeiot_net::Topology;
+    use zeiot_obs::Label;
 
     fn setup(update: WeightUpdate, seed: u64) -> (DistributedCnn, Vec<(Tensor, usize)>) {
         let config = CnnConfig::new(1, 8, 8, 2, 3, 2, 8, 2).unwrap();

@@ -30,7 +30,7 @@
 //! - [`replace`] — the runtime re-placement engine: fault/brownout-driven
 //!   "musical chairs" that re-homes units from dark nodes onto survivors
 //!   under a migration budget, shipping their state over the lossy fabric
-//!   (§V; subsumes the static [`resilience`] pass).
+//!   (§V: resilience to broken devices).
 //!
 //! # Example
 //!
@@ -61,11 +61,11 @@ pub mod assignment;
 pub mod config;
 pub mod cost;
 pub mod distributed;
+mod exec;
 pub mod instrument;
 pub mod lossy;
 pub mod quantized;
 pub mod replace;
-pub mod resilience;
 
 pub use assignment::Assignment;
 pub use config::CnnConfig;

@@ -9,58 +9,71 @@
 //! hot loops are pure i8×i8→i32 integer arithmetic
 //! ([`zeiot_nn::quant`]).
 //!
-//! **Why this strengthens the determinism contract.** The f32 lossy path
-//! keeps its guarantees by replicating one canonical accumulation order
-//! everywhere. The quantized path needs no such discipline: `i32`
+//! **Why this strengthens the determinism contract.** The f32 path keeps
+//! its guarantees by fixing one canonical accumulation order in the
+//! executor. The quantized path needs no such discipline: `i32`
 //! addition is associative and commutative, so any blocking, any loop
 //! order, and any distribution of partial sums across nodes produces the
 //! same bits. The audit's d3 no-float-order-hazard rule is satisfied *by
 //! construction* — there is no floating-point accumulation to reorder.
 //!
-//! **Fabric transport.** A quantized activation is one signed byte. The
-//! lossy path ships it through the existing [`LossyRuntime`] as its
-//! exact `f32` image (every i8 is exactly representable), so all fault
+//! **Fabric transport.** Both passes are the executor's (`crate::exec`)
+//! one traversal in i8 numerics. A quantized activation is one signed
+//! byte; the lossy pass ships it through the existing [`LossyRuntime`]
+//! as its exact `f32` image (every i8 is exactly representable), so all fault
 //! machinery — drops, retransmission, corruption, degrade substitution —
 //! applies unchanged; the receiver re-quantizes deterministically
 //! (round half away from zero, clamp to ±127, NaN to 0) before the value
 //! ever reaches an accumulator. With a lossless plan the lossy quantized
 //! pass is **bit-identical** to [`QuantizedCnn::forward_quantized`].
 
-use crate::distributed::DistributedCnn;
-use crate::lossy::{
-    HopProbe, LossyRuntime, STAGE_CONV_POOL, STAGE_HIDDEN_LOGIT, STAGE_INPUT_CONV,
-    STAGE_POOL_HIDDEN,
-};
+use crate::distributed::{validate_placement, DistributedCnn};
+use crate::exec::{self, Colocated, Numerics, Wire, STAGE_INPUT_CONV, STAGE_POOL_HIDDEN};
+use crate::lossy::{FabricLink, LossyRuntime};
 use crate::{Assignment, CnnConfig};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use zeiot_core::id::NodeId;
-use zeiot_nn::quant::{dense_i8_blocked, dot_i8, quantize_slice, scale_for, Calibration, Requant};
+use zeiot_nn::quant::{dot_i8, quantize_slice, scale_for, Calibration, Requant};
 use zeiot_nn::tensor::Tensor;
 use zeiot_obs::trace::SpanScope;
 use zeiot_obs::{Label, Recorder};
 
-/// One node's frozen convolution kernel replica: i8 weights at the
-/// common conv weight scale, biases pre-scaled into the i32 accumulator
-/// domain.
+/// A frozen parameter table: i8 weights at the layer's common weight
+/// scale, i32 biases pre-scaled into the accumulator domain. One per
+/// dense layer, per conv replica (`[oc, ic, k, k]`), or for all conv
+/// units of a [`crate::WeightUpdate::PerUnit`] model (`[units, ic, k, k]`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct QConvReplica {
-    weights: Vec<i8>, // [oc, ic, k, k]
-    bias: Vec<i32>,   // [oc], accumulator domain
+struct QLayer {
+    weights: Vec<i8>,
+    bias: Vec<i32>,
 }
 
-/// A frozen dense layer: i8 weight rows, accumulator-domain i32 biases.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct QDense {
-    weights: Vec<i8>, // [out, in]
-    bias: Vec<i32>,   // [out], accumulator domain
-}
+impl QLayer {
+    /// Quantizes f32 weights at scale `s_w` and biases at the accumulator
+    /// scale `acc`.
+    fn freeze(weights: &Tensor, bias: &Tensor, s_w: f32, acc: f64) -> Self {
+        let (weights, _) = quantize_slice(weights.data(), s_w);
+        let bias = bias
+            .data()
+            .iter()
+            .map(|&b| (b as f64 / acc).round() as i32)
+            .collect();
+        Self { weights, bias }
+    }
 
-/// Per-unit kernels for [`crate::WeightUpdate::PerUnit`] models.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct QUnitKernels {
-    weights: Vec<i8>, // [units, ic, k, k]
-    bias: Vec<i32>,   // [units], accumulator domain
+    /// Checks the table holds `out` units of `fan_in` weights each.
+    fn check(&self, what: &str, out: usize, fan_in: usize) -> Result<(), String> {
+        let (w, b) = (self.weights.len(), self.bias.len());
+        if w == out * fan_in && b == out {
+            return Ok(());
+        }
+        let want = out * fan_in;
+        Err(format!(
+            "{what} has {w} weights and {b} biases, config needs {want} and {out}"
+        ))
+    }
 }
 
 /// Saturation and usage counters for a quantized model.
@@ -116,14 +129,15 @@ impl QuantStats {
 /// # }
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "Frozen")]
 pub struct QuantizedCnn {
     config: CnnConfig,
     assignment: Assignment,
     conv_unit_host: Vec<NodeId>,
-    replicas: BTreeMap<NodeId, QConvReplica>,
-    per_unit: Option<QUnitKernels>,
-    dense1: QDense,
-    dense2: QDense,
+    replicas: BTreeMap<NodeId, QLayer>,
+    per_unit: Option<QLayer>,
+    dense1: QLayer,
+    dense2: QLayer,
     /// Input quantization scale (calibrated).
     input_scale: f32,
     /// Shared conv weight scale — kept so re-placed replicas can be
@@ -150,6 +164,67 @@ fn requantize_received(v: f32) -> i8 {
     v.round().clamp(-127.0, 127.0) as i8
 }
 
+/// The serialized form of a [`QuantizedCnn`], checked by
+/// [`QuantizedCnn::try_from`] before it becomes a model.
+#[derive(Deserialize)]
+struct Frozen {
+    config: CnnConfig,
+    assignment: Assignment,
+    conv_unit_host: Vec<NodeId>,
+    replicas: BTreeMap<NodeId, QLayer>,
+    per_unit: Option<QLayer>,
+    dense1: QLayer,
+    dense2: QLayer,
+    input_scale: f32,
+    conv_weight_scale: f32,
+    conv_acc_scale: f64,
+    conv_requant: Requant,
+    hidden_requant: Requant,
+    logit_scale: f64,
+    stats: QuantStats,
+}
+
+impl TryFrom<Frozen> for QuantizedCnn {
+    type Error = String;
+
+    /// Rejects a persisted model whose placement or integer parameter
+    /// lengths disagree with its config, instead of panicking inside the
+    /// forward pass.
+    fn try_from(f: Frozen) -> Result<Self, String> {
+        let c = &f.config;
+        validate_placement(c, &f.assignment, &f.conv_unit_host, f.replicas.keys())?;
+        let kernel_len = c.in_channels() * c.kernel() * c.kernel();
+        for (node, rep) in &f.replicas {
+            rep.check(
+                &format!("replica on {node:?}"),
+                c.conv_channels(),
+                kernel_len,
+            )?;
+        }
+        if let Some(pk) = &f.per_unit {
+            pk.check("per-unit kernel table", f.conv_unit_host.len(), kernel_len)?;
+        }
+        f.dense1.check("dense1", c.hidden(), c.feature_len())?;
+        f.dense2.check("dense2", c.classes(), c.hidden())?;
+        Ok(Self {
+            config: f.config,
+            assignment: f.assignment,
+            conv_unit_host: f.conv_unit_host,
+            replicas: f.replicas,
+            per_unit: f.per_unit,
+            dense1: f.dense1,
+            dense2: f.dense2,
+            input_scale: f.input_scale,
+            conv_weight_scale: f.conv_weight_scale,
+            conv_acc_scale: f.conv_acc_scale,
+            conv_requant: f.conv_requant,
+            hidden_requant: f.hidden_requant,
+            logit_scale: f.logit_scale,
+            stats: f.stats,
+        })
+    }
+}
+
 impl QuantizedCnn {
     /// Freezes `net` for integer deployment. Runs f32 forward passes
     /// over `calibration` to select per-layer activation scales (max-abs
@@ -160,6 +235,7 @@ impl QuantizedCnn {
     ///
     /// Panics if `calibration` is empty.
     pub fn new(net: &mut DistributedCnn, calibration: &[Tensor]) -> Self {
+        // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
         assert!(!calibration.is_empty(), "calibration set must be non-empty");
         let mut cal_in = Calibration::new();
         let mut cal_conv = Calibration::new();
@@ -193,47 +269,23 @@ impl QuantizedCnn {
         let acc1 = s_in as f64 * s_w1 as f64;
         let acc2 = s_a1 as f64 * s_w2 as f64;
         let acc3 = s_a2 as f64 * s_w3 as f64;
-        let quant_bias = |b: f32, acc_scale: f64| (b as f64 / acc_scale).round() as i32;
-
         let replicas = net
             .replicas
             .iter()
-            .map(|(node, rep)| {
-                let (weights, _) = quantize_slice(rep.weights.data(), s_w1);
-                let bias = rep
-                    .bias
-                    .data()
-                    .iter()
-                    .map(|&b| quant_bias(b, acc1))
-                    .collect();
-                (*node, QConvReplica { weights, bias })
-            })
+            .map(|(node, rep)| (*node, QLayer::freeze(&rep.weights, &rep.bias, s_w1, acc1)))
             .collect();
-        let per_unit = net.per_unit.as_ref().map(|pk| {
-            let (weights, _) = quantize_slice(pk.weights.data(), s_w1);
-            let bias = pk
-                .bias
-                .data()
-                .iter()
-                .map(|&b| quant_bias(b, acc1))
-                .collect();
-            QUnitKernels { weights, bias }
-        });
-        let quant_dense = |w: &Tensor, b: &Tensor, s_w: f32, acc: f64| {
-            let (weights, _) = quantize_slice(w.data(), s_w);
-            QDense {
-                weights,
-                bias: b.data().iter().map(|&v| quant_bias(v, acc)).collect(),
-            }
-        };
+        let per_unit = net
+            .per_unit
+            .as_ref()
+            .map(|pk| QLayer::freeze(&pk.weights, &pk.bias, s_w1, acc1));
         Self {
             config: net.config,
             assignment: net.assignment.clone(),
             conv_unit_host: net.conv_unit_host.clone(),
             replicas,
             per_unit,
-            dense1: quant_dense(&net.dense1.weights, &net.dense1.bias, s_w2, acc2),
-            dense2: quant_dense(&net.dense2.weights, &net.dense2.bias, s_w3, acc3),
+            dense1: QLayer::freeze(&net.dense1.weights, &net.dense1.bias, s_w2, acc2),
+            dense2: QLayer::freeze(&net.dense2.weights, &net.dense2.bias, s_w3, acc3),
             input_scale: s_in,
             conv_weight_scale: s_w1,
             conv_acc_scale: acc1,
@@ -273,184 +325,33 @@ impl QuantizedCnn {
         self.conv_unit_host = net.conv_unit_host.clone();
         self.replicas
             .retain(|node, _| net.replicas.contains_key(node));
-        let quant_bias = |b: f32| (b as f64 / self.conv_acc_scale).round() as i32;
+        let (s_w, acc) = (self.conv_weight_scale, self.conv_acc_scale);
         for (node, rep) in &net.replicas {
-            if self.replicas.contains_key(node) {
-                continue;
-            }
-            let (weights, _) = quantize_slice(rep.weights.data(), self.conv_weight_scale);
-            let bias = rep.bias.data().iter().map(|&b| quant_bias(b)).collect();
-            self.replicas.insert(*node, QConvReplica { weights, bias });
+            self.replicas
+                .entry(*node)
+                .or_insert_with(|| QLayer::freeze(&rep.weights, &rep.bias, s_w, acc));
         }
-    }
-
-    /// Quantizes an input tensor into the deployed input domain,
-    /// counting saturated values into the model's stats.
-    fn quantize_input(&mut self, input: &Tensor) -> Vec<i8> {
-        let c = &self.config;
-        assert_eq!(
-            input.shape(),
-            &[c.in_channels(), c.in_height(), c.in_width()],
-            "input shape mismatch"
-        );
-        let (q, sat) = quantize_slice(input.data(), self.input_scale);
-        self.stats.input_saturated += sat;
-        q
-    }
-
-    /// The kernel and accumulator-domain bias for one conv output unit.
-    fn unit_kernel(&self, unit: usize, o: usize, kernel_len: usize) -> (&[i8], i32) {
-        match &self.per_unit {
-            Some(pk) => (
-                &pk.weights[unit * kernel_len..(unit + 1) * kernel_len],
-                pk.bias[unit],
-            ),
-            None => {
-                let rep = &self.replicas[&self.conv_unit_host[unit]];
-                (
-                    &rep.weights[o * kernel_len..(o + 1) * kernel_len],
-                    rep.bias[o],
-                )
-            }
-        }
-    }
-
-    /// Max-pools i8 conv activations (ReLU already applied).
-    fn pool_i8(&self, relu: &[i8]) -> Vec<i8> {
-        let c = &self.config;
-        let (oh, ow) = c.conv_dims();
-        let (ph, pw) = c.pool_dims();
-        let (oc, p) = (c.conv_channels(), c.pool());
-        let mut pooled = vec![0i8; oc * ph * pw];
-        for ch in 0..oc {
-            for py in 0..ph {
-                for px in 0..pw {
-                    let mut best = i8::MIN;
-                    for ky in 0..p {
-                        for kx in 0..p {
-                            let off = ch * oh * ow + (py * p + ky) * ow + (px * p + kx);
-                            best = best.max(relu[off]);
-                        }
-                    }
-                    pooled[ch * ph * pw + py * pw + px] = best;
-                }
-            }
-        }
-        pooled
-    }
-
-    /// Requantizes a vector of i32 accumulators into i8 activations and
-    /// applies ReLU in the integer domain (sound because the requantizer
-    /// is monotone), counting saturation.
-    fn requant_relu(&mut self, accs: &[i32], requant: Requant) -> Vec<i8> {
-        let mut sat = 0u64;
-        let out = accs
-            .iter()
-            .map(|&a| requant.apply_i8(a, &mut sat).max(0))
-            .collect();
-        self.stats.activation_saturated += sat;
-        out
-    }
-
-    /// Dequantizes final i32 logit accumulators into real-valued logits.
-    fn dequant_logits(&self, accs: &[i32]) -> Tensor {
-        let logits: Vec<f32> = accs
-            .iter()
-            .map(|&a| (a as f64 * self.logit_scale) as f32)
-            .collect();
-        Tensor::from_vec(vec![self.config.classes()], logits).expect("logit shape")
     }
 
     /// Integer forward pass. Bit-exact under any loop order or thread
     /// count: every accumulation is exact i32 addition.
-    pub fn forward_quantized(&mut self, input: &Tensor) -> Tensor {
-        let q_input = self.quantize_input(input);
-        let c = self.config;
-        let (oh, ow) = c.conv_dims();
-        let (oc, k) = (c.conv_channels(), c.kernel());
-        let (ih, iw) = (c.in_height(), c.in_width());
-        let kernel_len = c.in_channels() * k * k;
-
-        // Convolution with per-node replica kernels, all-i32 exact.
-        let mut conv = vec![0i32; oc * oh * ow];
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let unit = o * oh * ow + oy * ow + ox;
-                    let (weights, bias) = self.unit_kernel(unit, o, kernel_len);
-                    let mut acc = bias;
-                    let mut w_off = 0;
-                    for icn in 0..c.in_channels() {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let x = q_input[icn * ih * iw + (oy + ky) * iw + (ox + kx)];
-                                acc += weights[w_off] as i32 * x as i32;
-                                w_off += 1;
-                            }
-                        }
-                    }
-                    conv[unit] = acc;
-                }
-            }
-        }
-        let relu = self.requant_relu(&conv, self.conv_requant);
-        let pooled = self.pool_i8(&relu);
-
-        // Dense 1 + ReLU, dense 2 — the same cache-blocked kernel the
-        // perf trajectory benchmarks.
-        let hidden_acc =
-            dense_i8_blocked(&self.dense1.weights, &self.dense1.bias, &pooled, c.hidden());
-        let hidden = self.requant_relu(&hidden_acc, self.hidden_requant);
-        let logit_acc = dense_i8_blocked(
-            &self.dense2.weights,
-            &self.dense2.bias,
-            &hidden,
-            c.classes(),
-        );
-        self.stats.forwards += 1;
-        self.dequant_logits(&logit_acc)
-    }
-
-    /// Predicted class for an input.
-    pub fn predict_quantized(&mut self, input: &Tensor) -> usize {
-        self.forward_quantized(input).argmax()
-    }
-
-    /// Accuracy over a labelled set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is empty.
-    pub fn accuracy_quantized(&mut self, data: &[(Tensor, usize)]) -> f64 {
-        assert!(!data.is_empty(), "empty evaluation set");
-        let correct = data
-            .iter()
-            .filter(|(x, t)| self.predict_quantized(x) == *t)
-            .count();
-        correct as f64 / data.len() as f64
-    }
-
-    /// Integer forward pass through a lossy fabric; the quantized
-    /// analogue of [`DistributedCnn::forward_lossy`]. Returns `None`
-    /// when a lost message aborts the inference under a non-degrading
-    /// policy. With a lossless plan this is bit-identical to
-    /// [`QuantizedCnn::forward_quantized`].
     ///
     /// # Panics
     ///
     /// Panics if the input shape disagrees with the config.
-    pub fn forward_quantized_lossy(
-        &mut self,
-        input: &Tensor,
-        rt: &mut LossyRuntime,
-    ) -> Option<Tensor> {
-        self.forward_quantized_lossy_traced(input, rt, None)
+    pub fn forward_quantized(&mut self, input: &Tensor) -> Tensor {
+        // zeiot-audit: allow(p1) -- the colocated link never drops a value, so the pass always completes
+        exec::forward(self, input, &mut Colocated).expect("colocated passes complete")
     }
 
-    /// [`QuantizedCnn::forward_quantized_lossy`] with per-unit hop spans
-    /// (`hop.qconv`, `hop.qpool`, `hop.qhidden`, `hop.qlogit`) pushed
-    /// under `scope` when given; `scope = None` is byte-for-byte the
-    /// untraced path.
+    /// Integer forward pass through a lossy fabric; the quantized
+    /// analogue of [`DistributedCnn::forward_lossy_traced`]. Returns
+    /// `None` when a lost message aborts the inference under a
+    /// non-degrading policy. Per-unit hop spans (`hop.qconv`,
+    /// `hop.qpool`, `hop.qhidden`, `hop.qlogit`) are pushed under `scope`
+    /// when given; `scope = None` is byte-for-byte the untraced path.
+    /// With a lossless plan this is bit-identical to
+    /// [`QuantizedCnn::forward_quantized`].
     ///
     /// # Panics
     ///
@@ -459,128 +360,105 @@ impl QuantizedCnn {
         &mut self,
         input: &Tensor,
         rt: &mut LossyRuntime,
-        mut scope: Option<&mut SpanScope<'_>>,
+        scope: Option<&mut SpanScope<'_>>,
     ) -> Option<Tensor> {
-        let q_input = self.quantize_input(input);
-        let c = self.config;
-        let (oh, ow) = c.conv_dims();
-        let (ph, pw) = c.pool_dims();
-        let (oc, k, p) = (c.conv_channels(), c.kernel(), c.pool());
-        let (ih, iw) = (c.in_height(), c.in_width());
-        let kernel_len = c.in_channels() * k * k;
+        exec::forward(self, input, &mut FabricLink::new(rt, scope))
+    }
+}
 
-        // Convolution: each conv unit pulls its receptive field (one
-        // byte per input unit, shipped as its exact f32 image) from the
-        // sensors hosting the input units.
-        let mut conv = vec![0i32; oc * oh * ow];
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let unit = o * oh * ow + oy * ow + ox;
-                    let dst = self.conv_unit_host[unit];
-                    let (weights, bias) = match &self.per_unit {
-                        Some(pk) => (
-                            &pk.weights[unit * kernel_len..(unit + 1) * kernel_len],
-                            pk.bias[unit],
-                        ),
-                        None => {
-                            let rep = &self.replicas[&dst];
-                            (
-                                &rep.weights[o * kernel_len..(o + 1) * kernel_len],
-                                rep.bias[o],
-                            )
-                        }
-                    };
-                    let probe = scope.is_some().then(|| HopProbe::open(rt));
-                    let mut acc = bias;
-                    let mut w_off = 0;
-                    for icn in 0..c.in_channels() {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let in_unit = icn * ih * iw + (oy + ky) * iw + (ox + kx);
-                                let src = self.assignment.host_of(0, in_unit);
-                                let sent = q_input[in_unit] as f32;
-                                let v =
-                                    rt.fetch(sent, src, dst, STAGE_INPUT_CONV, in_unit, unit)?;
-                                acc += weights[w_off] as i32 * requantize_received(v) as i32;
-                                w_off += 1;
-                            }
-                        }
-                    }
-                    if let (Some(s), Some(pr)) = (scope.as_mut(), probe) {
-                        pr.close(rt, s, "hop.qconv");
-                    }
-                    conv[unit] = acc;
-                }
-            }
-        }
-        let relu = self.requant_relu(&conv, self.conv_requant);
+impl Wire for i8 {
+    const FLOOR: Self = i8::MIN;
 
-        // Max pooling: each pool unit pulls its window from the conv
-        // units' hosts and maxes in the i8 domain.
-        let mut pooled = vec![0i8; oc * ph * pw];
-        for ch in 0..oc {
-            for py in 0..ph {
-                for px in 0..pw {
-                    let punit = ch * ph * pw + py * pw + px;
-                    let dst = self.assignment.host_of(2, punit);
-                    let probe = scope.is_some().then(|| HopProbe::open(rt));
-                    let mut best = i8::MIN;
-                    for ky in 0..p {
-                        for kx in 0..p {
-                            let off = ch * oh * ow + (py * p + ky) * ow + (px * p + kx);
-                            let src = self.conv_unit_host[off];
-                            let v =
-                                rt.fetch(relu[off] as f32, src, dst, STAGE_CONV_POOL, off, punit)?;
-                            best = best.max(requantize_received(v));
-                        }
-                    }
-                    if let (Some(s), Some(pr)) = (scope.as_mut(), probe) {
-                        pr.close(rt, s, "hop.qpool");
-                    }
-                    pooled[punit] = best;
-                }
-            }
-        }
+    #[inline]
+    fn to_wire(self) -> f32 {
+        f32::from(self)
+    }
 
-        // Dense 1 + ReLU: each hidden unit pulls the pooled vector.
-        let mut hidden_acc = vec![0i32; c.hidden()];
-        for (h, slot) in hidden_acc.iter_mut().enumerate() {
-            let dst = self.assignment.host_of(3, h);
-            let row = &self.dense1.weights[h * pooled.len()..(h + 1) * pooled.len()];
-            let probe = scope.is_some().then(|| HopProbe::open(rt));
-            let mut received = Vec::with_capacity(pooled.len());
-            for (i, &v) in pooled.iter().enumerate() {
-                let src = self.assignment.host_of(2, i);
-                let got = rt.fetch(v as f32, src, dst, STAGE_POOL_HIDDEN, i, h)?;
-                received.push(requantize_received(got));
-            }
-            if let (Some(s), Some(pr)) = (scope.as_mut(), probe) {
-                pr.close(rt, s, "hop.qhidden");
-            }
-            *slot = self.dense1.bias[h] + dot_i8(row, &received);
-        }
-        let hidden = self.requant_relu(&hidden_acc, self.hidden_requant);
+    #[inline]
+    fn from_wire(image: f32) -> Self {
+        requantize_received(image)
+    }
+}
 
-        // Dense 2: each class unit pulls the hidden vector.
-        let mut logit_acc = vec![0i32; c.classes()];
-        for (o, slot) in logit_acc.iter_mut().enumerate() {
-            let dst = self.assignment.host_of(4, o);
-            let row = &self.dense2.weights[o * c.hidden()..(o + 1) * c.hidden()];
-            let probe = scope.is_some().then(|| HopProbe::open(rt));
-            let mut received = Vec::with_capacity(c.hidden());
-            for (h, &v) in hidden.iter().enumerate() {
-                let src = self.assignment.host_of(3, h);
-                let got = rt.fetch(v as f32, src, dst, STAGE_HIDDEN_LOGIT, h, o)?;
-                received.push(requantize_received(got));
-            }
-            if let (Some(s), Some(pr)) = (scope.as_mut(), probe) {
-                pr.close(rt, s, "hop.qlogit");
-            }
-            *slot = self.dense2.bias[o] + dot_i8(row, &received);
-        }
+/// The deployed numerics: i8 weights and activations, exact i32
+/// accumulation, fixed-point requantization between layers.
+impl Numerics for QuantizedCnn {
+    type W = i8;
+    type Act = i8;
+    type Acc = i32;
+    const HOPS: [&'static str; 4] = ["hop.qconv", "hop.qpool", "hop.qhidden", "hop.qlogit"];
+
+    fn plan(&self) -> (&CnnConfig, &Assignment) {
+        (&self.config, &self.assignment)
+    }
+
+    /// Quantizes the input into the deployed input domain, counting
+    /// saturated values.
+    fn load<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [i8]> {
+        let (q, sat) = quantize_slice(input.data(), self.input_scale);
+        self.stats.input_saturated += sat;
+        Cow::Owned(q)
+    }
+
+    // Inlined so the accumulator it seeds stays in a register.
+    #[inline(always)]
+    fn conv_kernel(&self, unit: usize, channel: usize) -> (&[i8], i32) {
+        let kernel_len = self.config.in_channels() * self.config.kernel() * self.config.kernel();
+        let (table, slot) = match &self.per_unit {
+            Some(pk) => (pk, unit),
+            // zeiot-audit: allow(p1) -- kernel tables follow the config's conv geometry, checked at freeze time and by try_from
+            None => (&self.replicas[&self.conv_unit_host[unit]], channel),
+        };
+        (
+            &table.weights[slot * kernel_len..(slot + 1) * kernel_len],
+            table.bias[slot],
+        )
+    }
+
+    fn dense(&self, stage: u64) -> (&[i8], &[i32]) {
+        let layer = if stage == STAGE_POOL_HIDDEN {
+            &self.dense1
+        } else {
+            &self.dense2
+        };
+        (&layer.weights, &layer.bias)
+    }
+
+    #[inline]
+    fn mac(acc: i32, w: i8, x: i8) -> i32 {
+        acc + i32::from(w) * i32::from(x)
+    }
+
+    #[inline]
+    fn dot(bias: i32, row: &[i8], x: &[i8]) -> i32 {
+        bias + dot_i8(row, x)
+    }
+
+    /// Requantizes the accumulators to i8 and applies ReLU in the integer
+    /// domain (sound because the requantizer is monotone), counting
+    /// saturation.
+    fn activate(&mut self, stage: u64, pre: Vec<i32>) -> Vec<i8> {
+        let requant = if stage == STAGE_INPUT_CONV {
+            self.conv_requant
+        } else {
+            self.hidden_requant
+        };
+        let mut sat = 0u64;
+        let out = pre
+            .iter()
+            .map(|&a| requant.apply_i8(a, &mut sat).max(0))
+            .collect();
+        self.stats.activation_saturated += sat;
+        out
+    }
+
+    fn pooled(&mut self, _: &[i8], _: Vec<usize>) {}
+
+    /// Dequantizes the logit accumulators into real-valued logits.
+    fn finish(&mut self, _: &Tensor, logits: Vec<i32>) -> Vec<f32> {
         self.stats.forwards += 1;
-        Some(self.dequant_logits(&logit_acc))
+        let scale = self.logit_scale;
+        logits.iter().map(|&a| (a as f64 * scale) as f32).collect()
     }
 }
 
@@ -633,7 +511,11 @@ mod tests {
         let calibration: Vec<Tensor> = data.iter().take(16).map(|(x, _)| x.clone()).collect();
         let mut qnet = QuantizedCnn::new(&mut net, &calibration);
         let f32_acc = net.accuracy(&data);
-        let q_acc = qnet.accuracy_quantized(&data);
+        let q_correct = data
+            .iter()
+            .filter(|(x, t)| qnet.forward_quantized(x).argmax() == *t)
+            .count();
+        let q_acc = q_correct as f64 / data.len() as f64;
         assert!(f32_acc > 0.85, "f32 baseline failed to train: {f32_acc}");
         assert!(
             (f32_acc - q_acc).abs() <= 0.1,
@@ -731,7 +613,7 @@ mod tests {
             for (x, _) in data.iter().take(10) {
                 let plain = a.forward_quantized(x);
                 let lossy = b
-                    .forward_quantized_lossy(x, &mut rt)
+                    .forward_quantized_lossy_traced(x, &mut rt, None)
                     .expect("lossless never aborts");
                 assert_eq!(plain.data(), lossy.data(), "{update:?}");
                 rt.advance_pass();
@@ -755,7 +637,7 @@ mod tests {
             let mut out = Vec::new();
             for (x, _) in data.iter().take(10) {
                 let logits = qnet
-                    .forward_quantized_lossy(x, &mut rt)
+                    .forward_quantized_lossy_traced(x, &mut rt, None)
                     .expect("degrade never aborts");
                 out.extend_from_slice(logits.data());
                 rt.advance_pass();
@@ -780,7 +662,9 @@ mod tests {
             &topo,
             SimDuration::from_millis(500),
         );
-        assert!(qnet.forward_quantized_lossy(&data[0].0, &mut rt).is_none());
+        assert!(qnet
+            .forward_quantized_lossy_traced(&data[0].0, &mut rt, None)
+            .is_none());
     }
 
     #[test]
@@ -808,7 +692,9 @@ mod tests {
             .begin(0, 0, "serve.request", SpanLayer::Request, SimTime::ZERO)
             .unwrap();
         let mut scope = tracer.scope(0, 0, root).unwrap();
-        let plain = a.forward_quantized_lossy(&data[0].0, &mut rt_a).unwrap();
+        let plain = a
+            .forward_quantized_lossy_traced(&data[0].0, &mut rt_a, None)
+            .unwrap();
         let traced = b
             .forward_quantized_lossy_traced(&data[0].0, &mut rt_b, Some(&mut scope))
             .unwrap();
@@ -861,6 +747,66 @@ mod tests {
                 restored.forward_quantized(x).data()
             );
         }
+    }
+
+    #[test]
+    fn deserialization_rejects_tampered_models() {
+        let (mut net, data) = trained_setup(WeightUpdate::Independent, 28);
+        let calibration: Vec<Tensor> = data.iter().take(4).map(|(x, _)| x.clone()).collect();
+        let qnet = QuantizedCnn::new(&mut net, &calibration);
+        let json = serde_json::to_string(&qnet).unwrap();
+        let load = |text: &str| serde_json::from_str::<QuantizedCnn>(text);
+        assert!(load(&json).is_ok());
+
+        // Textually tamper the persisted model the way a config edit or a
+        // hand-patched deployment would, and require a clean error
+        // instead of a panic deep inside forward_quantized().
+        let tamper = |from: &str, to: &str| -> String {
+            let out = json.replacen(from, to, 1);
+            assert_ne!(out, json, "tamper target `{from}` missing from JSON");
+            out
+        };
+
+        // Config no longer matching the persisted placement: the model
+        // was frozen for 8×8 inputs / 2 classes.
+        assert!(load(&tamper("\"classes\":2", "\"classes\":3")).is_err());
+        assert!(load(&tamper("\"in_height\":8", "\"in_height\":10")).is_err());
+
+        // A placement entry pointing a conv unit at a node other than
+        // the one the assignment records.
+        let first_host = json
+            .split("\"conv_unit_host\":[")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .expect("conv_unit_host present");
+        let other = if first_host == "3" { "4" } else { "3" };
+        assert!(load(&tamper(
+            &format!("\"conv_unit_host\":[{first_host},"),
+            &format!("\"conv_unit_host\":[{other},"),
+        ))
+        .is_err());
+
+        // An i8 weight table one entry short, and an i32 bias vector one
+        // entry long.
+        let first_weight = json
+            .split("\"dense2\":{\"weights\":[")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .expect("dense2 weights present");
+        let err = load(&tamper(
+            &format!("\"dense2\":{{\"weights\":[{first_weight},"),
+            "\"dense2\":{\"weights\":[",
+        ))
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("dense2"),
+            "unexpected error: {err}"
+        );
+        let err = load(&tamper("\"bias\":[", "\"bias\":[0,")).unwrap_err();
+        assert!(
+            err.to_string().contains("biases"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

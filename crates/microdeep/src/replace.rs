@@ -498,8 +498,7 @@ fn apply_one(net: &mut DistributedCnn, m: &Migration, source: NodeId) {
 
 /// Applies a planned epoch to `net` **without a fabric** — the offline,
 /// gateway-side repair. State is copied from the nearest surviving
-/// checkpoint peer for free; the static-recovery baseline and
-/// [`crate::resilience::reassign_after_failures`] deployments use this.
+/// checkpoint peer for free; the static-recovery baseline uses this.
 pub fn apply_offline(
     net: &mut DistributedCnn,
     graph: &UnitGraph,
@@ -665,6 +664,7 @@ impl ReplacementEngine {
 mod tests {
     use super::*;
     use crate::config::CnnConfig;
+    use crate::cost::CostModel;
     use crate::distributed::WeightUpdate;
     use zeiot_core::rng::SeedRng;
     use zeiot_core::time::{SimDuration, SimTime};
@@ -722,6 +722,14 @@ mod tests {
             }
         }
 
+        // Re-routing around a hole in an equalized placement changes
+        // the recurring per-pass traffic: the repaired placement over the
+        // degraded mesh against the original over the healthy one.
+        let before = CostModel::new(&topo).forward_cost(&graph, &assignment);
+        let degraded = topo.without_nodes(&down);
+        let after = CostModel::new(&degraded).forward_cost(&graph, &repaired);
+        assert_ne!(after.total_cost(), before.total_cost());
+
         // Bounded: exactly `budget` move, the rest are stranded.
         let budget = orphans / 2;
         let (_, bounded) = plan_incremental(&graph, &topo, &assignment, &down, budget);
@@ -757,6 +765,42 @@ mod tests {
         // A full re-solve moves at least the orphans.
         let (_, inc) = plan_incremental(&graph, &topo, &assignment, &down, usize::MAX);
         assert!(outcome.migrations.len() >= inc.migrations.len());
+    }
+
+    #[test]
+    fn repaired_assignment_respects_survivor_cap() {
+        let (config, topo, assignment) = setup();
+        let graph = config.unit_graph().expect("valid graph");
+        let failed = vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)];
+        let (repaired, outcome) = plan_incremental(&graph, &topo, &assignment, &failed, usize::MAX);
+        assert_eq!(outcome.stranded, 0);
+        let cap = graph.total_units().div_ceil(topo.len() - failed.len());
+        let loads = repaired.units_per_node();
+        for f in &failed {
+            assert_eq!(loads[f.index()], 0);
+        }
+        for n in topo.node_ids() {
+            if !failed.contains(&n) {
+                assert!(
+                    loads[n.index()] <= cap,
+                    "node {n} over cap: {}",
+                    loads[n.index()]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lost_inputs_counted() {
+        let (config, topo, assignment) = setup();
+        let graph = config.unit_graph().expect("valid graph");
+        let victim = NodeId::new(0);
+        let expected: usize = (0..graph.units_in_layer(0))
+            .filter(|&i| assignment.host_of(0, i) == victim)
+            .count();
+        let (_, outcome) = plan_incremental(&graph, &topo, &assignment, &[victim], usize::MAX);
+        assert_eq!(outcome.lost_inputs, expected);
+        assert!(expected > 0);
     }
 
     #[test]

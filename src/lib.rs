@@ -15,7 +15,7 @@
 //! | [`backscatter`] | `zeiot-backscatter` | backscatter PHY, cycle registry, coexistence MAC |
 //! | [`net`] | `zeiot-net` | WSN topologies, routing, traffic accounting, synchronized flooding, RSSI sampling |
 //! | [`nn`] | `zeiot-nn` | tensors, CNN layers with backprop, training, unit-graph topology |
-//! | [`microdeep`] | `zeiot-microdeep` | **the paper's contribution**: distributed CNN assignment, cost model, independent-update training, resilience |
+//! | [`microdeep`] | `zeiot-microdeep` | **the paper's contribution**: distributed CNN assignment, cost model, independent-update training, one executor over f32/int8 and in-memory/lossy links, re-placement and resilience |
 //! | [`fault`] | `zeiot-fault` | deterministic fault injection: lossy links, brownout windows, corruption, recovery policies |
 //! | [`serve`] | `zeiot-serve` | multi-tenant inference serving: sharded EDF queues, micro-batching, admission control, degraded-mode fallback |
 //! | [`sensing`] | `zeiot-sensing` | train congestion/positioning, people counting, CSI localization, PEM, sociograms, trajectories |
