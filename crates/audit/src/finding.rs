@@ -1,20 +1,18 @@
-//! Findings: what a rule reports, with its allow/baseline status.
+//! Findings: what a rule reports, with its allow status.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Where a finding stands after annotation and baseline matching.
+/// Where a finding stands after annotation matching.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AllowStatus {
-    /// The finding stands: no annotation or baseline covers it.
+    /// The finding stands: no annotation covers it.
     Active,
     /// Suppressed by a `// zeiot-audit: allow(<rule>) -- <why>` comment.
     Suppressed {
         /// The annotation's mandatory justification text.
         justification: String,
     },
-    /// Grandfathered by an entry in the baseline file.
-    Baselined,
 }
 
 impl AllowStatus {
@@ -28,7 +26,6 @@ impl AllowStatus {
         match self {
             AllowStatus::Active => "active",
             AllowStatus::Suppressed { .. } => "suppressed",
-            AllowStatus::Baselined => "baselined",
         }
     }
 }
@@ -46,7 +43,7 @@ pub struct Finding {
     pub snippet: String,
     /// What the rule objects to.
     pub message: String,
-    /// Allow/baseline status.
+    /// Allow status.
     pub status: AllowStatus,
     /// For graph rules (p1): the call chain from a public API to the
     /// offending site, outermost first, as `crate::fn (file:line)`
@@ -135,6 +132,5 @@ mod tests {
         };
         assert!(!s.is_active());
         assert_eq!(s.tag(), "suppressed");
-        assert_eq!(AllowStatus::Baselined.tag(), "baselined");
     }
 }

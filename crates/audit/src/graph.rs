@@ -1,6 +1,6 @@
 //! The conservative intra-workspace call graph.
 //!
-//! Nodes are the [`FnItem`]s of every scanned file; edges are resolved
+//! Nodes are the [`crate::items::FnItem`]s of every scanned file; edges are resolved
 //! *by name*, which over-approximates in exactly the direction a
 //! reachability rule wants:
 //!

@@ -40,10 +40,8 @@
 //! justification —
 //! `// zeiot-audit: allow(<rule>) -- <why this site is sound>` — and
 //! the annotations themselves are audited: stale ones fire
-//! `unused-allow`, malformed ones fire `malformed-allow`. Legacy debt
-//! can be grandfathered through a JSON [`Baseline`] file instead
-//! (`audit-baseline.json` at the workspace root is picked up
-//! automatically by the CLI).
+//! `unused-allow`, malformed ones fire `malformed-allow`. There is no
+//! other way to excuse a finding.
 //!
 //! Run it from the workspace root:
 //!
@@ -56,7 +54,6 @@
 //! Findings export as structured JSONL through [`zeiot_obs`]; see
 //! [`report`].
 
-pub mod baseline;
 pub mod config;
 pub mod finding;
 pub mod graph;
@@ -68,7 +65,6 @@ pub mod report;
 pub mod rules;
 pub mod walk;
 
-pub use baseline::{Baseline, BaselineEntry};
 pub use config::{Action, AuditConfig, Layer, Rule, ALL_RULES};
 pub use finding::{AllowStatus, Finding};
 pub use graph::SymbolGraph;
@@ -79,9 +75,8 @@ pub use walk::{workspace_sources, SourceSpec};
 use std::io;
 use std::path::Path;
 
-/// Audits every workspace source under `root` with `config`, applying
-/// `baseline` to the result, and returns the symbol graph alongside
-/// the report (for `--emit-graph`).
+/// Audits every workspace source under `root` with `config`, and
+/// returns the symbol graph alongside the report (for `--emit-graph`).
 ///
 /// # Errors
 ///
@@ -89,7 +84,6 @@ use std::path::Path;
 pub fn audit_workspace_full(
     root: &Path,
     config: &AuditConfig,
-    baseline: Option<&Baseline>,
 ) -> io::Result<(AuditReport, SymbolGraph)> {
     let specs = workspace_sources(root)?;
     let files_scanned = specs.len();
@@ -133,9 +127,6 @@ pub fn audit_workspace_full(
     for (spec, scan) in specs.iter().zip(scans) {
         findings.extend(rules::finalize(config, &spec.rel, scan));
     }
-    if let Some(base) = baseline {
-        base.apply(&mut findings);
-    }
     Ok((
         AuditReport {
             findings,
@@ -145,18 +136,13 @@ pub fn audit_workspace_full(
     ))
 }
 
-/// Audits every workspace source under `root` with `config`, applying
-/// `baseline` to the result.
+/// Audits every workspace source under `root` with `config`.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from the walk or from reading sources.
-pub fn audit_workspace(
-    root: &Path,
-    config: &AuditConfig,
-    baseline: Option<&Baseline>,
-) -> io::Result<AuditReport> {
-    audit_workspace_full(root, config, baseline).map(|(report, _)| report)
+pub fn audit_workspace(root: &Path, config: &AuditConfig) -> io::Result<AuditReport> {
+    audit_workspace_full(root, config).map(|(report, _)| report)
 }
 
 #[cfg(test)]
@@ -167,7 +153,7 @@ mod tests {
     #[test]
     fn workspace_audit_runs_and_scans_every_crate() {
         let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let (report, graph) = audit_workspace_full(&root, &AuditConfig::default(), None).unwrap();
+        let (report, graph) = audit_workspace_full(&root, &AuditConfig::default()).unwrap();
         assert!(report.files_scanned > 100, "only {}", report.files_scanned);
         // The symbol graph covers the workspace: thousands of fns, and
         // the serve entry points are present.

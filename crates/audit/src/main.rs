@@ -6,32 +6,24 @@
 //! cargo run -p zeiot-audit -- --warn d3,h2 --jsonl audit.jsonl
 //! cargo run -p zeiot-audit -- --emit-graph graph.json
 //! ```
-//!
-//! An `audit-baseline.json` at the workspace root is loaded
-//! automatically (pass `--no-baseline` to audit without it, or
-//! `--baseline PATH` for a different file).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use zeiot_audit::{audit_workspace_full, Action, AuditConfig, Baseline, Rule, ALL_RULES};
+use zeiot_audit::{audit_workspace_full, Action, AuditConfig, Rule, ALL_RULES};
 
 const USAGE: &str = "\
 zeiot-audit — workspace determinism & hygiene linter
 
 USAGE: zeiot-audit [--deny all|RULES] [--warn all|RULES] [--off RULES]
-                   [--baseline PATH] [--no-baseline] [--jsonl PATH]
-                   [--emit-graph PATH] [--root PATH] [--quiet]
+                   [--jsonl PATH] [--emit-graph PATH] [--root PATH] [--quiet]
 
 RULES is a comma-separated list of: d1 d2 d3 d4 h1 h2 p1 o1 unused-allow malformed-allow
-Every rule defaults to deny; audit-baseline.json at the workspace root
-is applied unless --no-baseline. Exit code: 0 clean, 1 denied findings,
+Every rule defaults to deny. Exit code: 0 clean, 1 denied findings,
 2 usage.";
 
 #[derive(Debug)]
 struct Cli {
     config: AuditConfig,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
     jsonl: Option<PathBuf>,
     emit_graph: Option<PathBuf>,
     root: Option<PathBuf>,
@@ -56,8 +48,6 @@ fn apply_rules(config: &mut AuditConfig, spec: &str, action: Action) -> Result<(
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         config: AuditConfig::default(),
-        baseline: None,
-        no_baseline: false,
         jsonl: None,
         emit_graph: None,
         root: None,
@@ -74,8 +64,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--deny" => apply_rules(&mut cli.config, &value("--deny")?, Action::Deny)?,
             "--warn" => apply_rules(&mut cli.config, &value("--warn")?, Action::Warn)?,
             "--off" => apply_rules(&mut cli.config, &value("--off")?, Action::Off)?,
-            "--baseline" => cli.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--no-baseline" => cli.no_baseline = true,
             "--jsonl" => cli.jsonl = Some(PathBuf::from(value("--jsonl")?)),
             "--emit-graph" => cli.emit_graph = Some(PathBuf::from(value("--emit-graph")?)),
             "--root" => cli.root = Some(PathBuf::from(value("--root")?)),
@@ -109,22 +97,8 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
         Some(r) => r.clone(),
         None => find_root().ok_or("not inside a cargo workspace (pass --root)")?,
     };
-    let baseline = match &cli.baseline {
-        Some(path) => Some(Baseline::load(path)?),
-        None if !cli.no_baseline => {
-            // The committed workspace baseline applies by default so
-            // `--deny all` means "no *new* debt", not "no debt ever".
-            let default_path = root.join("audit-baseline.json");
-            if default_path.is_file() {
-                Some(Baseline::load(&default_path)?)
-            } else {
-                None
-            }
-        }
-        None => None,
-    };
-    let (report, graph) = audit_workspace_full(&root, &cli.config, baseline.as_ref())
-        .map_err(|e| format!("audit failed: {e}"))?;
+    let (report, graph) =
+        audit_workspace_full(&root, &cli.config).map_err(|e| format!("audit failed: {e}"))?;
 
     if let Some(path) = &cli.jsonl {
         std::fs::write(path, report.to_jsonl()).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -149,11 +123,11 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
             Action::Off => {}
         }
     }
-    let (active, suppressed, baselined) = report.tallies();
+    let (active, suppressed) = report.tallies();
     if !cli.quiet {
         println!(
             "audited {} files: {active} active ({denied} denied, {warned} warned), \
-             {suppressed} suppressed, {baselined} baselined",
+             {suppressed} suppressed",
             report.files_scanned
         );
     }
@@ -210,11 +184,11 @@ mod tests {
     }
 
     #[test]
-    fn graph_and_baseline_flags_parse() {
-        let cli = parse_cli(&args(&["--emit-graph", "g.json", "--no-baseline"])).unwrap();
+    fn graph_flag_parses() {
+        let cli = parse_cli(&args(&["--emit-graph", "g.json"])).unwrap();
         assert_eq!(cli.emit_graph, Some(PathBuf::from("g.json")));
-        assert!(cli.no_baseline);
         assert!(parse_cli(&args(&["--deny", "p1,o1,d4"])).is_ok());
+        assert!(parse_cli(&args(&["--no-baseline"])).is_err());
     }
 
     #[test]

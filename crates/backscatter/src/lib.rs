@@ -24,13 +24,16 @@
 //!
 //! ```
 //! # fn main() -> Result<(), zeiot_core::ConfigError> {
-//! use zeiot_backscatter::mac::{MacConfig, MacMode, simulate};
+//! use zeiot_backscatter::mac::{MacConfig, MacFaults, MacMode, simulate};
 //! use zeiot_core::time::SimDuration;
 //! use zeiot_core::rng::SeedRng;
 //!
 //! let config = MacConfig::default_with_devices(8)?;
-//! let sched = simulate(&config, MacMode::Scheduled, SimDuration::from_secs(20), &mut SeedRng::new(1));
-//! let naive = simulate(&config, MacMode::Naive, SimDuration::from_secs(20), &mut SeedRng::new(1));
+//! let run = |mode| {
+//!     let mut rng = SeedRng::new(1);
+//!     simulate(&config, mode, SimDuration::from_secs(20), &mut rng, &MacFaults::none(), None, None)
+//! };
+//! let (sched, naive) = (run(MacMode::Scheduled), run(MacMode::Naive));
 //! assert!(sched.backscatter_delivery_ratio() > naive.backscatter_delivery_ratio());
 //! assert!(sched.wlan_delivery_ratio() >= naive.wlan_delivery_ratio());
 //! # Ok(())
@@ -41,9 +44,6 @@ pub mod mac;
 pub mod phy;
 pub mod registry;
 
-pub use mac::{
-    simulate_observed, simulate_with_faults, simulate_with_faults_observed,
-    simulate_with_faults_traced, MacConfig, MacFaults, MacMode, MacReport,
-};
+pub use mac::{simulate, MacConfig, MacFaults, MacMode, MacReport};
 pub use phy::BackscatterLink;
 pub use registry::{CycleRegistry, Registration};

@@ -142,8 +142,8 @@ pub struct MacFaults {
 }
 
 impl MacFaults {
-    /// No faults: [`simulate_with_faults`] degenerates byte-for-byte to
-    /// [`simulate`].
+    /// No faults: the fault paths of [`simulate`] never fire or draw from
+    /// the RNG.
     pub fn none() -> Self {
         Self {
             grant_loss_prob: 0.0,
@@ -371,11 +371,11 @@ impl MacWorld<'_> {
     fn reregister_all(&mut self) {
         self.registry = fresh_registry(&self.config);
         for reg in self.config.devices.clone() {
-            let admitted = match self.recorder.as_deref_mut() {
-                Some(rec) => self.registry.register_observed(reg, rec).is_ok(),
-                None => self.registry.register(reg).is_ok(),
-            };
-            if admitted {
+            if self
+                .registry
+                .register(reg, self.recorder.as_deref_mut())
+                .is_ok()
+            {
                 self.report.reregistrations += 1;
             }
         }
@@ -548,110 +548,31 @@ impl World for MacWorld<'_> {
 
 /// Runs one MAC simulation for `duration` and returns the report.
 ///
+/// `faults` injects grant loss (recovered per the configured
+/// [`RecoveryPolicy`]) and periodic AP state loss; with
+/// [`MacFaults::none`] the fault paths never consume RNG, so the report
+/// is that of a fault-free MAC.
+///
+/// Observation is pure: the report is byte-identical with or without
+/// either probe at the same seed.
+///
+/// - `recorder` counts `mac.grants` and `mac.samples_dropped` per
+///   device, `mac.dummy_frames`, `mac.collisions`, `mac.grant_losses`
+///   per device, `mac.ap_resets`, and registration churn via the
+///   registry counters, with a debug trace per collision and a warning
+///   trace per AP reset.
+/// - `tracer` grows one trace per device (keyed `(device index, 0)`,
+///   rooted at a [`SpanLayer::Mac`] span spanning the run) annotated
+///   with [`SpanEvent::Grant`] per dummy carrier,
+///   [`SpanEvent::Collision`] per shared frame, [`SpanEvent::Loss`] per
+///   missed grant, and [`SpanEvent::Retransmit`] per re-queued grant.
+///
 /// # Panics
 ///
-/// Panics if `config` fails validation (call [`MacConfig::validate`] to
-/// check fallibly) or has no devices.
+/// Panics if `config` or `faults` fail validation (call
+/// [`MacConfig::validate`] / [`MacFaults::validate`] to check
+/// fallibly), or `config` has no devices.
 pub fn simulate(
-    config: &MacConfig,
-    mode: MacMode,
-    duration: SimDuration,
-    rng: &mut SeedRng,
-) -> MacReport {
-    simulate_inner(config, mode, duration, rng, &MacFaults::none(), None, None)
-}
-
-/// Like [`simulate`], under fault injection: grants can be missed by the
-/// tag (recovered per the configured [`RecoveryPolicy`]) and the AP can
-/// periodically lose its registry and grant queue.
-///
-/// With [`MacFaults::none`] the report is byte-for-byte identical to
-/// [`simulate`] at the same seed — the fault paths never consume RNG.
-///
-/// # Panics
-///
-/// Panics if `config` or `faults` fail validation, or `config` has no
-/// devices.
-pub fn simulate_with_faults(
-    config: &MacConfig,
-    mode: MacMode,
-    duration: SimDuration,
-    rng: &mut SeedRng,
-    faults: &MacFaults,
-) -> MacReport {
-    simulate_inner(config, mode, duration, rng, faults, None, None)
-}
-
-/// [`simulate_with_faults`] with observability: the counters of
-/// [`simulate_observed`] plus `mac.grant_losses` per device,
-/// `mac.ap_resets`, registration churn via the registry counters, and a
-/// warning trace per AP reset.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate_with_faults`].
-pub fn simulate_with_faults_observed(
-    config: &MacConfig,
-    mode: MacMode,
-    duration: SimDuration,
-    rng: &mut SeedRng,
-    faults: &MacFaults,
-    recorder: &mut Recorder,
-) -> MacReport {
-    simulate_inner(config, mode, duration, rng, faults, Some(recorder), None)
-}
-
-/// [`simulate_with_faults`] with causal tracing: each device grows one
-/// trace (keyed `(device index, 0)`, rooted at a [`SpanLayer::Mac`]
-/// span spanning the run) annotated with [`SpanEvent::Grant`] per dummy
-/// carrier, [`SpanEvent::Collision`] per shared frame,
-/// [`SpanEvent::Loss`] per missed grant, and [`SpanEvent::Retransmit`]
-/// per re-queued grant. The report is byte-identical to an untraced run
-/// at the same seed.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate_with_faults`].
-pub fn simulate_with_faults_traced(
-    config: &MacConfig,
-    mode: MacMode,
-    duration: SimDuration,
-    rng: &mut SeedRng,
-    faults: &MacFaults,
-    recorder: Option<&mut Recorder>,
-    tracer: &mut Tracer,
-) -> MacReport {
-    simulate_inner(config, mode, duration, rng, faults, recorder, Some(tracer))
-}
-
-/// Like [`simulate`], additionally recording observability metrics into
-/// `recorder`: `mac.grants` per device, `mac.dummy_frames`,
-/// `mac.collisions`, `mac.samples_dropped` per device, and a debug trace
-/// event per collision. The returned report is identical to an
-/// unobserved run with the same seed.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate`].
-pub fn simulate_observed(
-    config: &MacConfig,
-    mode: MacMode,
-    duration: SimDuration,
-    rng: &mut SeedRng,
-    recorder: &mut Recorder,
-) -> MacReport {
-    simulate_inner(
-        config,
-        mode,
-        duration,
-        rng,
-        &MacFaults::none(),
-        Some(recorder),
-        None,
-    )
-}
-
-fn simulate_inner(
     config: &MacConfig,
     mode: MacMode,
     duration: SimDuration,
@@ -673,7 +594,7 @@ fn simulate_inner(
     // Initial cycle registration (uncounted: it predates the run).
     let mut registry = fresh_registry(config);
     for reg in &config.devices {
-        let _ = registry.register(*reg);
+        let _ = registry.register(*reg, None);
     }
     let world = MacWorld {
         mode,
@@ -718,10 +639,22 @@ fn simulate_inner(
 mod tests {
     use super::*;
 
+    /// An unprobed run of `config` for `secs` seconds from `seed`.
+    fn sim(
+        config: &MacConfig,
+        mode: MacMode,
+        secs: u64,
+        seed: u64,
+        faults: &MacFaults,
+    ) -> MacReport {
+        let mut rng = SeedRng::new(seed);
+        let duration = SimDuration::from_secs(secs);
+        simulate(config, mode, duration, &mut rng, faults, None, None)
+    }
+
     fn run(mode: MacMode, devices: usize, seed: u64) -> MacReport {
         let config = MacConfig::default_with_devices(devices).unwrap();
-        let mut rng = SeedRng::new(seed);
-        simulate(&config, mode, SimDuration::from_secs(30), &mut rng)
+        sim(&config, mode, 30, seed, &MacFaults::none())
     }
 
     #[test]
@@ -785,20 +718,8 @@ mod tests {
     fn thin_wlan_traffic_starves_naive_tags() {
         let mut config = MacConfig::default_with_devices(10).unwrap();
         config.wlan_arrival_rate_hz = 2.0; // almost no WLAN traffic
-        let mut rng = SeedRng::new(6);
-        let naive = simulate(
-            &config,
-            MacMode::Naive,
-            SimDuration::from_secs(30),
-            &mut rng,
-        );
-        let mut rng = SeedRng::new(6);
-        let sched = simulate(
-            &config,
-            MacMode::Scheduled,
-            SimDuration::from_secs(30),
-            &mut rng,
-        );
+        let naive = sim(&config, MacMode::Naive, 30, 6, &MacFaults::none());
+        let sched = sim(&config, MacMode::Scheduled, 30, 6, &MacFaults::none());
         // Naive tags rarely find carriers; scheduled AP sends dummies.
         assert!(
             naive.backscatter_delivery_ratio() < 0.5,
@@ -831,21 +752,17 @@ mod tests {
     #[test]
     fn observed_run_matches_unobserved_report() {
         let config = MacConfig::default_with_devices(12).unwrap();
-        let mut rng = SeedRng::new(8);
-        let plain = simulate(
-            &config,
-            MacMode::Scheduled,
-            SimDuration::from_secs(10),
-            &mut rng,
-        );
+        let plain = sim(&config, MacMode::Scheduled, 10, 8, &MacFaults::none());
         let mut rng = SeedRng::new(8);
         let mut rec = Recorder::new();
-        let observed = simulate_observed(
+        let observed = simulate(
             &config,
             MacMode::Scheduled,
             SimDuration::from_secs(10),
             &mut rng,
-            &mut rec,
+            &MacFaults::none(),
+            Some(&mut rec),
+            None,
         );
         assert_eq!(plain, observed);
         // Every dummy frame is a grant; the counters must agree with the
@@ -867,12 +784,14 @@ mod tests {
         let config = MacConfig::default_with_devices(40).unwrap();
         let mut rng = SeedRng::new(9);
         let mut rec = Recorder::new();
-        let report = simulate_observed(
+        let report = simulate(
             &config,
             MacMode::Naive,
             SimDuration::from_secs(10),
             &mut rng,
-            &mut rec,
+            &MacFaults::none(),
+            Some(&mut rec),
+            None,
         );
         assert!(rec.counter_value("mac.collisions", &Label::Global) > 0);
         assert!(!rec.trace_buffer().is_empty());
@@ -889,16 +808,18 @@ mod tests {
     fn no_faults_is_byte_identical_to_plain_simulate() {
         let config = MacConfig::default_with_devices(15).unwrap();
         for mode in [MacMode::Scheduled, MacMode::Naive] {
-            let mut rng = SeedRng::new(11);
-            let plain = simulate(&config, mode, SimDuration::from_secs(20), &mut rng);
-            let mut rng = SeedRng::new(11);
-            let faulted = simulate_with_faults(
-                &config,
-                mode,
-                SimDuration::from_secs(20),
-                &mut rng,
-                &MacFaults::none(),
-            );
+            let plain = sim(&config, mode, 20, 11, &MacFaults::none());
+            // Zero-probability faults under a retrying policy never
+            // consume RNG.
+            let faults = MacFaults {
+                recovery: RecoveryPolicy::Retransmit {
+                    max_retries: 3,
+                    timeout: SimDuration::from_millis(10),
+                    backoff: 2.0,
+                },
+                ..MacFaults::none()
+            };
+            let faulted = sim(&config, mode, 20, 11, &faults);
             assert_eq!(plain, faulted, "{mode:?}");
         }
     }
@@ -911,25 +832,12 @@ mod tests {
             recovery: RecoveryPolicy::FailFast,
             ap_reset_interval: None,
         };
-        let mut rng = SeedRng::new(12);
-        let report = simulate_with_faults(
-            &config,
-            MacMode::Scheduled,
-            SimDuration::from_secs(20),
-            &mut rng,
-            &faults,
-        );
+        let report = sim(&config, MacMode::Scheduled, 20, 12, &faults);
         assert!(report.grant_losses > 0);
         assert_eq!(report.grant_losses, report.grants_abandoned);
         assert_eq!(report.grant_retries, 0);
         // Lost grants translate into undelivered samples.
-        let mut rng = SeedRng::new(12);
-        let clean = simulate(
-            &config,
-            MacMode::Scheduled,
-            SimDuration::from_secs(20),
-            &mut rng,
-        );
+        let clean = sim(&config, MacMode::Scheduled, 20, 12, &MacFaults::none());
         assert!(report.bs_delivered < clean.bs_delivered);
     }
 
@@ -949,16 +857,7 @@ mod tests {
             recovery: RecoveryPolicy::FailFast,
             ..retrying.clone()
         };
-        let run = |faults: &MacFaults| {
-            let mut rng = SeedRng::new(13);
-            simulate_with_faults(
-                &config,
-                MacMode::Scheduled,
-                SimDuration::from_secs(20),
-                &mut rng,
-                faults,
-            )
-        };
+        let run = |faults: &MacFaults| sim(&config, MacMode::Scheduled, 20, 13, faults);
         let with_retry = run(&retrying);
         let without = run(&abandoning);
         assert!(with_retry.grant_retries > 0);
@@ -981,14 +880,7 @@ mod tests {
                 recovery,
                 ap_reset_interval: None,
             };
-            let mut rng = SeedRng::new(14);
-            simulate_with_faults(
-                &config,
-                MacMode::Scheduled,
-                SimDuration::from_secs(15),
-                &mut rng,
-                &faults,
-            )
+            sim(&config, MacMode::Scheduled, 15, 14, &faults)
         };
         let fail_fast = run(RecoveryPolicy::FailFast);
         let zero_retry = run(RecoveryPolicy::Retransmit {
@@ -1009,13 +901,14 @@ mod tests {
         };
         let mut rng = SeedRng::new(15);
         let mut rec = Recorder::new();
-        let report = simulate_with_faults_observed(
+        let report = simulate(
             &config,
             MacMode::Scheduled,
             SimDuration::from_secs(21),
             &mut rng,
             &faults,
-            &mut rec,
+            Some(&mut rec),
+            None,
         );
         assert_eq!(report.ap_resets, 4);
         assert_eq!(report.reregistrations, 4 * 20);
@@ -1045,14 +938,7 @@ mod tests {
                 },
                 ap_reset_interval: Some(SimDuration::from_secs(7)),
             };
-            let mut rng = SeedRng::new(16);
-            simulate_with_faults(
-                &config,
-                MacMode::Scheduled,
-                SimDuration::from_secs(20),
-                &mut rng,
-                &faults,
-            )
+            sim(&config, MacMode::Scheduled, 20, 16, &faults)
         };
         assert_eq!(run(), run());
     }
@@ -1070,24 +956,17 @@ mod tests {
             },
             ap_reset_interval: None,
         };
-        let mut rng = SeedRng::new(13);
-        let plain = simulate_with_faults(
-            &config,
-            MacMode::Scheduled,
-            SimDuration::from_secs(20),
-            &mut rng,
-            &faults,
-        );
+        let plain = sim(&config, MacMode::Scheduled, 20, 13, &faults);
         let mut rng = SeedRng::new(13);
         let mut tracer = Tracer::new(TraceSampler::always());
-        let traced = simulate_with_faults_traced(
+        let traced = simulate(
             &config,
             MacMode::Scheduled,
             SimDuration::from_secs(20),
             &mut rng,
             &faults,
             None,
-            &mut tracer,
+            Some(&mut tracer),
         );
         assert_eq!(plain, traced, "tracing must not perturb the MAC");
         let traces = tracer.take_finished();
@@ -1120,14 +999,14 @@ mod tests {
         let config = MacConfig::default_with_devices(40).unwrap();
         let mut rng = SeedRng::new(9);
         let mut tracer = Tracer::new(TraceSampler::always());
-        let _ = simulate_with_faults_traced(
+        let _ = simulate(
             &config,
             MacMode::Naive,
             SimDuration::from_secs(10),
             &mut rng,
             &MacFaults::none(),
             None,
-            &mut tracer,
+            Some(&mut tracer),
         );
         let traces = tracer.take_finished();
         assert!(traces
@@ -1161,8 +1040,7 @@ mod tests {
             devices: vec![],
             ..MacConfig::default_with_devices(1).unwrap()
         };
-        let mut rng = SeedRng::new(1);
-        let _ = simulate(&config, MacMode::Naive, SimDuration::from_secs(1), &mut rng);
+        let _ = sim(&config, MacMode::Naive, 1, 1, &MacFaults::none());
     }
 }
 
@@ -1186,7 +1064,8 @@ mod proptests {
             config.bs_packet_success = bs_success;
             let mode = if scheduled { MacMode::Scheduled } else { MacMode::Naive };
             let mut rng = SeedRng::new(seed);
-            let report = simulate(&config, mode, SimDuration::from_secs(5), &mut rng);
+            let duration = SimDuration::from_secs(5);
+            let report = simulate(&config, mode, duration, &mut rng, &MacFaults::none(), None, None);
             // Counter sanity.
             prop_assert!(report.bs_delivered <= report.bs_offered);
             prop_assert!(report.wlan_delivered <= report.wlan_offered);

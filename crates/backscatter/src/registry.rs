@@ -66,7 +66,7 @@ impl Registration {
 /// use zeiot_core::time::SimDuration;
 ///
 /// let mut reg = CycleRegistry::new(250e3, 0.2)?; // 250 kbps, 20 % budget
-/// reg.register(Registration::new(DeviceId::new(0), SimDuration::from_millis(100), 256)?)?;
+/// reg.register(Registration::new(DeviceId::new(0), SimDuration::from_millis(100), 256)?, None)?;
 /// assert_eq!(reg.len(), 1);
 /// assert!(reg.total_occupation() < 0.2);
 /// # Ok(())
@@ -127,11 +127,34 @@ impl CycleRegistry {
 
     /// Attempts to admit a registration.
     ///
+    /// With a `recorder`, the admission outcome is also counted:
+    /// `mac.registrations` per admitted device,
+    /// `mac.registrations_rejected` per refusal — the registration-churn
+    /// view of the AP.
+    ///
     /// # Errors
     ///
     /// Returns an error if the device is already registered or admission
     /// would exceed the occupation budget.
-    pub fn register(&mut self, registration: Registration) -> Result<()> {
+    pub fn register(
+        &mut self,
+        registration: Registration,
+        recorder: Option<&mut Recorder>,
+    ) -> Result<()> {
+        let device = registration.device;
+        let outcome = self.admit(registration);
+        if let Some(recorder) = recorder {
+            let name = if outcome.is_ok() {
+                "mac.registrations"
+            } else {
+                "mac.registrations_rejected"
+            };
+            recorder.inc(name, Label::device(device));
+        }
+        outcome
+    }
+
+    fn admit(&mut self, registration: Registration) -> Result<()> {
         if self
             .registrations
             .iter()
@@ -154,38 +177,6 @@ impl CycleRegistry {
         }
         self.registrations.push(registration);
         Ok(())
-    }
-
-    /// Like [`CycleRegistry::register`], additionally counting the
-    /// admission outcome into `recorder`: `mac.registrations` per
-    /// admitted device, `mac.registrations_rejected` per refusal — the
-    /// registration-churn view of the AP.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`CycleRegistry::register`].
-    pub fn register_observed(
-        &mut self,
-        registration: Registration,
-        recorder: &mut Recorder,
-    ) -> Result<()> {
-        let device = registration.device;
-        let outcome = self.register(registration);
-        match &outcome {
-            Ok(()) => recorder.inc("mac.registrations", Label::device(device)),
-            Err(_) => recorder.inc("mac.registrations_rejected", Label::device(device)),
-        }
-        outcome
-    }
-
-    /// Like [`CycleRegistry::deregister`], counting each removal into the
-    /// `mac.deregistrations` counter.
-    pub fn deregister_observed(&mut self, device: DeviceId, recorder: &mut Recorder) -> bool {
-        let removed = self.deregister(device);
-        if removed {
-            recorder.inc("mac.deregistrations", Label::device(device));
-        }
-        removed
     }
 
     /// Removes a device's registration; returns whether it existed.
@@ -232,7 +223,7 @@ mod tests {
     fn admission_accepts_within_budget() {
         let mut registry = CycleRegistry::new(250e3, 0.5).unwrap();
         for i in 0..4 {
-            registry.register(reg(i, 100, 2_500)).unwrap(); // 0.1 each
+            registry.register(reg(i, 100, 2_500), None).unwrap(); // 0.1 each
         }
         assert_eq!(registry.len(), 4);
         assert!((registry.total_occupation() - 0.4).abs() < 1e-9);
@@ -241,28 +232,28 @@ mod tests {
     #[test]
     fn admission_rejects_over_budget() {
         let mut registry = CycleRegistry::new(250e3, 0.25).unwrap();
-        registry.register(reg(0, 100, 2_500)).unwrap();
-        registry.register(reg(1, 100, 2_500)).unwrap();
-        assert!(registry.register(reg(2, 100, 2_500)).is_err());
+        registry.register(reg(0, 100, 2_500), None).unwrap();
+        registry.register(reg(1, 100, 2_500), None).unwrap();
+        assert!(registry.register(reg(2, 100, 2_500), None).is_err());
         assert_eq!(registry.len(), 2);
     }
 
     #[test]
     fn duplicate_device_rejected() {
         let mut registry = CycleRegistry::new(250e3, 0.5).unwrap();
-        registry.register(reg(7, 100, 100)).unwrap();
-        assert!(registry.register(reg(7, 200, 100)).is_err());
+        registry.register(reg(7, 100, 100), None).unwrap();
+        assert!(registry.register(reg(7, 200, 100), None).is_err());
     }
 
     #[test]
     fn deregister_frees_budget() {
         let mut registry = CycleRegistry::new(250e3, 0.2).unwrap();
-        registry.register(reg(0, 100, 2_500)).unwrap();
-        registry.register(reg(1, 100, 2_500)).unwrap();
-        assert!(registry.register(reg(2, 100, 2_500)).is_err());
+        registry.register(reg(0, 100, 2_500), None).unwrap();
+        registry.register(reg(1, 100, 2_500), None).unwrap();
+        assert!(registry.register(reg(2, 100, 2_500), None).is_err());
         assert!(registry.deregister(DeviceId::new(0)));
         assert!(!registry.deregister(DeviceId::new(0)));
-        registry.register(reg(2, 100, 2_500)).unwrap();
+        registry.register(reg(2, 100, 2_500), None).unwrap();
     }
 
     #[test]
@@ -277,16 +268,14 @@ mod tests {
         let mut registry = CycleRegistry::new(250e3, 0.25).unwrap();
         let mut rec = Recorder::new();
         registry
-            .register_observed(reg(0, 100, 2_500), &mut rec)
+            .register(reg(0, 100, 2_500), Some(&mut rec))
             .unwrap();
         registry
-            .register_observed(reg(1, 100, 2_500), &mut rec)
+            .register(reg(1, 100, 2_500), Some(&mut rec))
             .unwrap();
         assert!(registry
-            .register_observed(reg(2, 100, 2_500), &mut rec)
+            .register(reg(2, 100, 2_500), Some(&mut rec))
             .is_err());
-        assert!(registry.deregister_observed(DeviceId::new(0), &mut rec));
-        assert!(!registry.deregister_observed(DeviceId::new(0), &mut rec));
         let total = |name: &str| -> u64 {
             rec.counters()
                 .filter(|(n, _, _)| *n == name)
@@ -295,7 +284,6 @@ mod tests {
         };
         assert_eq!(total("mac.registrations"), 2);
         assert_eq!(total("mac.registrations_rejected"), 1);
-        assert_eq!(total("mac.deregistrations"), 1);
     }
 
     #[test]

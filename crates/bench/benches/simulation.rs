@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use zeiot_backscatter::mac::{simulate, MacConfig, MacMode};
+use zeiot_backscatter::mac::{simulate, MacConfig, MacFaults, MacMode};
 use zeiot_core::id::NodeId;
 use zeiot_core::rng::SeedRng;
 use zeiot_core::time::{SimDuration, SimTime};
@@ -41,6 +41,9 @@ fn bench_mac_second(c: &mut Criterion) {
                 MacMode::Scheduled,
                 SimDuration::from_secs(1),
                 &mut rng,
+                &MacFaults::none(),
+                None,
+                None,
             ))
         })
     });

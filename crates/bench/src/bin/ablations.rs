@@ -8,13 +8,13 @@ use zeiot_bench::experiments::ablations::{run, Params};
 fn main() {
     run_experiment(
         &["samples", "epochs", "mac_seconds", "seed"],
-        |map, _runner| {
+        |map, runner| {
             let mut params = Params::default();
             override_usize(map, "samples", &mut params.samples);
             override_usize(map, "epochs", &mut params.epochs);
             override_u64(map, "mac_seconds", &mut params.mac_seconds);
             override_u64(map, "seed", &mut params.seed);
-            run(&params)
+            run(&params, runner)
         },
     );
 }

@@ -3,7 +3,7 @@
 //! [--json 1] [--jsonl PATH]`.
 
 use zeiot_bench::cli::{override_u64, override_usize, run_experiment};
-use zeiot_bench::experiments::e10_serving::{run_with, Params};
+use zeiot_bench::experiments::e10_serving::{run, Params};
 
 fn main() {
     run_experiment(&["samples", "epochs", "horizon", "seed"], |map, runner| {
@@ -12,6 +12,6 @@ fn main() {
         override_usize(map, "epochs", &mut params.epochs);
         override_u64(map, "horizon", &mut params.horizon_secs);
         override_u64(map, "seed", &mut params.seed);
-        run_with(&params, runner)
+        run(&params, runner)
     });
 }

@@ -7,23 +7,11 @@
 //! byte-identical across `--threads` values; CI diffs it). Inspect the
 //! dump with `cargo run -p zeiot-obs --bin trace-report -- PATH`.
 
-use zeiot_bench::cli::{override_f64, override_u64, override_usize, CliError};
-use zeiot_bench::experiments::e11_slo::{run_with_traces, Params};
-use zeiot_bench::take_string_flag;
-use zeiot_obs::trace::{write_traces_jsonl, Trace};
+use zeiot_bench::cli::{override_f64, override_u64, override_usize, run_traced_experiment};
+use zeiot_bench::experiments::e11_slo::{run, Params};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_path = match take_string_flag(&mut args, "trace-jsonl") {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let mut traces: Vec<Trace> = Vec::new();
-    let result = zeiot_bench::cli::execute(
-        args,
+    run_traced_experiment(
         &["samples", "epochs", "horizon", "seed", "rate"],
         |map, runner| {
             let mut params = Params::default();
@@ -32,24 +20,7 @@ fn main() {
             override_u64(map, "horizon", &mut params.horizon_secs);
             override_u64(map, "seed", &mut params.seed);
             override_f64(map, "rate", &mut params.sample_rate);
-            let (report, collected) = run_with_traces(&params, runner);
-            traces = collected;
-            report
+            run(&params, runner)
         },
     );
-    match result {
-        Ok(text) => {
-            if let Some(path) = &trace_path {
-                if let Err(e) = write_traces_jsonl(std::path::Path::new(path), &traces) {
-                    eprintln!("failed to write {path}: {e}");
-                    std::process::exit(CliError::Io(String::new()).exit_code());
-                }
-            }
-            println!("{text}");
-        }
-        Err(e) => {
-            eprintln!("{}", e.message());
-            std::process::exit(e.exit_code());
-        }
-    }
 }

@@ -3,7 +3,7 @@
 //! [--jsonl PATH]`.
 
 use zeiot_bench::cli::{override_u64, override_usize, run_experiment};
-use zeiot_bench::experiments::e1_temperature::{run_with, Params};
+use zeiot_bench::experiments::e1_temperature::{run, Params};
 
 fn main() {
     run_experiment(&["samples", "epochs", "seed"], |map, runner| {
@@ -11,6 +11,6 @@ fn main() {
         override_usize(map, "samples", &mut params.samples);
         override_usize(map, "epochs", &mut params.epochs);
         override_u64(map, "seed", &mut params.seed);
-        run_with(&params, runner)
+        run(&params, runner)
     });
 }

@@ -3,7 +3,7 @@
 //! [--json 1] [--jsonl PATH]`.
 
 use zeiot_bench::cli::{override_u64, override_usize, run_experiment};
-use zeiot_bench::experiments::e4_train::{run_with, Params};
+use zeiot_bench::experiments::e4_train::{run, Params};
 
 fn main() {
     run_experiment(&["train_scenes", "test_scenes", "seed"], |map, runner| {
@@ -11,6 +11,6 @@ fn main() {
         override_usize(map, "train_scenes", &mut params.train_scenes);
         override_usize(map, "test_scenes", &mut params.test_scenes);
         override_u64(map, "seed", &mut params.seed);
-        run_with(&params, runner)
+        run(&params, runner)
     });
 }

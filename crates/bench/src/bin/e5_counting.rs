@@ -3,7 +3,7 @@
 //! [--threads N] [--json 1] [--jsonl PATH]`.
 
 use zeiot_bench::cli::{override_u64, override_usize, run_experiment};
-use zeiot_bench::experiments::e5_counting::{run_with, Params};
+use zeiot_bench::experiments::e5_counting::{run, Params};
 
 fn main() {
     run_experiment(
@@ -14,7 +14,7 @@ fn main() {
             override_usize(map, "train_rounds", &mut params.train_rounds);
             override_usize(map, "test_rounds", &mut params.test_rounds);
             override_u64(map, "seed", &mut params.seed);
-            run_with(&params, runner)
+            run(&params, runner)
         },
     );
 }

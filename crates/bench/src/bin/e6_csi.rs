@@ -3,7 +3,7 @@
 //! [--threads N] [--json 1] [--jsonl PATH]`.
 
 use zeiot_bench::cli::{override_u64, override_usize, run_experiment};
-use zeiot_bench::experiments::e6_csi::{run_with, Params};
+use zeiot_bench::experiments::e6_csi::{run, Params};
 
 fn main() {
     run_experiment(
@@ -14,7 +14,7 @@ fn main() {
             override_usize(map, "test_per_position", &mut params.test_per_position);
             override_usize(map, "k", &mut params.k);
             override_u64(map, "seed", &mut params.seed);
-            run_with(&params, runner)
+            run(&params, runner)
         },
     );
 }

@@ -2,13 +2,13 @@
 //! [--seconds N] [--seed N] [--threads N] [--json 1] [--jsonl PATH]`.
 
 use zeiot_bench::cli::{override_u64, run_experiment};
-use zeiot_bench::experiments::e8_energy::{run_with, Params};
+use zeiot_bench::experiments::e8_energy::{run, Params};
 
 fn main() {
     run_experiment(&["seconds", "seed"], |map, runner| {
         let mut params = Params::default();
         override_u64(map, "seconds", &mut params.seconds);
         override_u64(map, "seed", &mut params.seed);
-        run_with(&params, runner)
+        run(&params, runner)
     });
 }

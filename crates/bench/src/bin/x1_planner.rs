@@ -5,5 +5,5 @@ use zeiot_bench::cli::run_experiment;
 use zeiot_bench::experiments::x1_planner::{run, Params};
 
 fn main() {
-    run_experiment(&[], |_map, _runner| run(&Params::default()));
+    run_experiment(&[], |_map, runner| run(&Params::default(), runner));
 }

@@ -5,9 +5,9 @@ use zeiot_bench::cli::{override_u64, run_experiment};
 use zeiot_bench::experiments::x2_fusion::{run, Params};
 
 fn main() {
-    run_experiment(&["seed"], |map, _runner| {
+    run_experiment(&["seed"], |map, runner| {
         let mut params = Params::default();
         override_u64(map, "seed", &mut params.seed);
-        run(&params)
+        run(&params, runner)
     });
 }

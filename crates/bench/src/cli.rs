@@ -16,21 +16,28 @@
 //!     override_u64(map, "seed", &mut params.seed);
 //! #   let _ = (params, runner);
 //! #   ExperimentReport::new("E0", "doc")
-//!     // run_with(&params, runner)
+//!     // run(&params, runner)
 //! });
 //! ```
+//!
+//! The traced experiments (E11–E14) go through
+//! [`run_traced_experiment`] instead, which also accepts
+//! `--trace-jsonl PATH` and exports the run's sampled traces there.
 
 use crate::report::ExperimentReport;
 use crate::sweep::SweepRunner;
 use crate::{parse_args, runner_from_flags, take_string_flag};
 use std::collections::BTreeMap;
+use std::path::Path;
+use zeiot_obs::trace::{write_traces_jsonl, Trace};
 
 /// What went wrong before a report could be rendered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
     /// Malformed or unknown flags (exit code 2).
     Usage(String),
-    /// The `--jsonl` export could not be written (exit code 1).
+    /// The `--jsonl` or `--trace-jsonl` export could not be written
+    /// (exit code 1).
     Io(String),
 }
 
@@ -73,8 +80,8 @@ where
     let map = parse_args(&args, &allowed).map_err(CliError::Usage)?;
     let report = run(&map, &runner_from_flags(&map));
     if let Some(path) = &jsonl {
-        zeiot_obs::write_jsonl(std::path::Path::new(path), &report.export_snapshot())
-            .map_err(|e| CliError::Io(format!("failed to write {path}: {e}")))?;
+        zeiot_obs::write_jsonl(Path::new(path), &report.export_snapshot())
+            .map_err(|e| write_failed(path, e))?;
     }
     Ok(if map.get("json").copied().unwrap_or(0.0) != 0.0 {
         report.to_json()
@@ -83,14 +90,67 @@ where
     })
 }
 
+/// [`execute`] for an experiment that also returns its sampled traces:
+/// additionally accepts `--trace-jsonl PATH` and, once the report and
+/// any `--jsonl` export are done, writes the traces there as JSON Lines.
+///
+/// # Errors
+///
+/// Returns [`CliError::Usage`] on malformed flags and [`CliError::Io`]
+/// when either export fails.
+pub fn execute_traced<F>(
+    mut args: Vec<String>,
+    param_flags: &[&str],
+    run: F,
+) -> Result<String, CliError>
+where
+    F: FnOnce(&BTreeMap<String, f64>, &SweepRunner) -> (ExperimentReport, Vec<Trace>),
+{
+    let trace_path = take_string_flag(&mut args, "trace-jsonl").map_err(CliError::Usage)?;
+    let mut traces = Vec::new();
+    let text = execute(args, param_flags, |map, runner| {
+        let (report, collected) = run(map, runner);
+        traces = collected;
+        report
+    })?;
+    if let Some(path) = &trace_path {
+        write_traces_jsonl(Path::new(path), &traces).map_err(|e| write_failed(path, e))?;
+    }
+    Ok(text)
+}
+
+fn write_failed(path: &str, e: std::io::Error) -> CliError {
+    CliError::Io(format!("failed to write {path}: {e}"))
+}
+
 /// The whole experiment-binary `main`: parse `std::env::args`, run,
 /// print. Exits with code 2 on flag errors and 1 on export errors.
 pub fn run_experiment<F>(param_flags: &[&str], run: F)
 where
     F: FnOnce(&BTreeMap<String, f64>, &SweepRunner) -> ExperimentReport,
 {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match execute(args, param_flags, run) {
+    print_or_exit(execute(
+        std::env::args().skip(1).collect(),
+        param_flags,
+        run,
+    ));
+}
+
+/// [`run_experiment`] for a traced experiment, through
+/// [`execute_traced`].
+pub fn run_traced_experiment<F>(param_flags: &[&str], run: F)
+where
+    F: FnOnce(&BTreeMap<String, f64>, &SweepRunner) -> (ExperimentReport, Vec<Trace>),
+{
+    print_or_exit(execute_traced(
+        std::env::args().skip(1).collect(),
+        param_flags,
+        run,
+    ));
+}
+
+fn print_or_exit(result: Result<String, CliError>) {
+    match result {
         Ok(text) => println!("{text}"),
         Err(e) => {
             eprintln!("{}", e.message());
@@ -182,6 +242,29 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.exit_code(), 1);
+    }
+
+    #[test]
+    fn trace_jsonl_failure_exits_1() {
+        let err = execute_traced(
+            args(&["--trace-jsonl", "/nonexistent-dir/traces.jsonl"]),
+            &[],
+            |m, r| (demo_report(m, r), Vec::new()),
+        )
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 1);
+    }
+
+    #[test]
+    fn untraced_experiments_reject_trace_jsonl() {
+        let err = execute(
+            args(&["--trace-jsonl", "traces.jsonl"]),
+            &["seed"],
+            demo_report,
+        )
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.message().contains("--trace-jsonl"), "{}", err.message());
     }
 
     #[test]

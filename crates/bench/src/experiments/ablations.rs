@@ -7,7 +7,8 @@
 //! saved per strategy; resilience → peak cost as nodes die.
 
 use crate::report::{ExperimentReport, Row};
-use zeiot_backscatter::mac::{simulate, MacConfig, MacMode};
+use crate::sweep::SweepRunner;
+use zeiot_backscatter::mac::{simulate, MacConfig, MacFaults, MacMode};
 use zeiot_core::id::NodeId;
 use zeiot_core::rng::SeedRng;
 use zeiot_core::time::SimDuration;
@@ -52,8 +53,9 @@ impl Params {
     }
 }
 
-/// Runs the ablation suite.
-pub fn run(params: &Params) -> ExperimentReport {
+/// Runs the ablation suite. Its arms run serially, so the runner is
+/// unused; it keeps the signature every experiment shares.
+pub fn run(params: &Params, _runner: &SweepRunner) -> ExperimentReport {
     let mut report = ExperimentReport::new("A0", "Ablation suite (DESIGN.md §5)");
     let config = CnnConfig::new(10, 8, 8, 4, 3, 2, 16, 2).expect("valid");
     let graph = config.unit_graph().expect("valid");
@@ -122,9 +124,25 @@ pub fn run(params: &Params) -> ExperimentReport {
     thin.wlan_arrival_rate_hz = 2.0;
     let duration = SimDuration::from_secs(params.mac_seconds);
     let mut mac_rng = SeedRng::new(params.seed);
-    let with_dummies = simulate(&thin, MacMode::Scheduled, duration, &mut mac_rng);
+    let with_dummies = simulate(
+        &thin,
+        MacMode::Scheduled,
+        duration,
+        &mut mac_rng,
+        &MacFaults::none(),
+        None,
+        None,
+    );
     let mut mac_rng = SeedRng::new(params.seed);
-    let without = simulate(&thin, MacMode::Naive, duration, &mut mac_rng);
+    let without = simulate(
+        &thin,
+        MacMode::Naive,
+        duration,
+        &mut mac_rng,
+        &MacFaults::none(),
+        None,
+        None,
+    );
     report.push(Row::measured_only(
         "bs delivery, thin WLAN, with dummy carriers",
         with_dummies.backscatter_delivery_ratio(),
@@ -164,7 +182,7 @@ mod tests {
 
     #[test]
     fn ablation_suite_orders_hold() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         // Assignment ordering.
         let central = report.row("max cost, centralized").unwrap().measured;
         let balanced = report

@@ -24,14 +24,12 @@
 //! good logits — accuracy decays but the serving layer never goes
 //! silent.
 
+use super::e9_faults::{Baseline, PASS_PERIOD};
 use crate::report::{ExperimentReport, Row};
 use crate::sweep::SweepRunner;
-use zeiot_core::rng::SeedRng;
 use zeiot_core::time::SimDuration;
 use zeiot_fault::{DegradeMode, FaultPlan, RecoveryPolicy};
-use zeiot_microdeep::{Assignment, CnnConfig, DistributedCnn, WeightUpdate};
 use zeiot_net::Topology;
-use zeiot_nn::tensor::Tensor;
 use zeiot_serve::{
     ArrivalProcess, DegradedServing, ServeConfig, ServeReport, Server, Tenant, TenantSpec,
 };
@@ -89,9 +87,6 @@ const BATCH_OVERHEAD: SimDuration = SimDuration::from_millis(10);
 
 /// Relative deadline granted to every request.
 const DEADLINE: SimDuration = SimDuration::from_millis(400);
-
-/// Fabric clock advance per executed inference (matches E9).
-const PASS_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// One degradation setting of the final sweep group.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -200,14 +195,9 @@ pub fn deployment() -> Topology {
     super::e9_faults::deployment()
 }
 
-/// The tenants' shared CNN geometry.
-pub fn cnn_config() -> CnnConfig {
-    super::e9_faults::cnn_config()
-}
-
 /// The nominal tenant mix: three context-recognition applications with
 /// different arrival shapes and the same latency contract (shared with
-/// E13).
+/// E11–E13).
 pub(crate) fn tenant_specs(load_scale: f64) -> Vec<TenantSpec> {
     let mix = [
         ("motion", ArrivalProcess::poisson(8.0)),
@@ -229,81 +219,34 @@ pub(crate) fn tenant_specs(load_scale: f64) -> Vec<TenantSpec> {
         .collect()
 }
 
-/// Synthetic two-class 8×8 intensity data (E9's generator; shared with
-/// E11).
-pub(crate) fn generate_data(samples_per_class: usize, rng: &mut SeedRng) -> Vec<(Tensor, usize)> {
-    let mut data = Vec::with_capacity(samples_per_class * 2);
-    for _ in 0..samples_per_class {
-        for class in 0..2usize {
-            let mut img = Tensor::zeros(vec![1, 8, 8]);
-            for y in 0..4 {
-                for x in 0..4 {
-                    let (yy, xx) = if class == 0 { (y, x) } else { (y + 4, x + 4) };
-                    img.set(&[0, yy, xx], 1.0 + rng.normal_with(0.0, 0.1) as f32);
-                }
-            }
-            data.push((img, class));
-        }
-    }
-    data
-}
-
-/// Runs E10 serially (equivalent to [`run_with`] at any thread count).
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
+/// A server over `topo` with the E10 worker timing: `shards` shards
+/// dispatching micro-batches of up to `batch` from 16-deep queues
+/// (shared with E11–E14).
+pub(crate) fn server(shards: usize, batch: usize, topo: Topology, tenants: Vec<Tenant>) -> Server {
+    let config = ServeConfig::new(shards, batch, 16, SERVICE_TIME)
+        .expect("valid config")
+        .with_batch_overhead(BATCH_OVERHEAD);
+    Server::new(config, topo, tenants).expect("tenants present")
 }
 
 /// Runs E10: one clean baseline is trained and shared, then every sweep
 /// point builds a fresh server over it and serves its tenant mix for the
 /// horizon. Results are identical for every thread count.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
-    let mut data_rng = SeedRng::with_stream(params.seed, 0xDA7A);
-    let data = generate_data(params.samples_per_class, &mut data_rng);
-    let split = data.len() * 4 / 5;
-    let (train, test) = data.split_at(split);
-
-    let config = cnn_config();
-    let topo = deployment();
-    let graph = config.unit_graph().expect("valid config");
-    let assignment = Assignment::balanced_correspondence(&graph, &topo);
-
-    let mut model_rng = SeedRng::with_stream(params.seed, 0x0DE1);
-    let mut baseline = DistributedCnn::new(
-        config,
-        assignment,
-        WeightUpdate::Independent,
-        &mut model_rng,
-    );
-    let mut train_rng = SeedRng::with_stream(params.seed, 0x7124);
-    for _ in 0..params.epochs {
-        baseline.train_epoch(train, 0.08, 8, &mut train_rng);
-    }
-    let clean_accuracy = baseline.accuracy(test);
-    let baseline_json = baseline.to_json().expect("serializable model");
+pub fn run(params: &Params, runner: &SweepRunner) -> ExperimentReport {
+    let mut baseline = Baseline::train(params.seed, params.samples_per_class, params.epochs);
+    let clean_accuracy = baseline.model.accuracy(&baseline.test);
 
     let horizon = SimDuration::from_secs(params.horizon_secs);
     let plan_seed = params.seed ^ 0xFA17;
     let specs = point_specs();
-    let pool: Vec<(Tensor, usize)> = test.to_vec();
 
     let sweep = runner.run_seeded(
         params.seed ^ 0xE10A,
         specs.len(),
         |index, _rng, recorder| {
             let spec = &specs[index];
-            let tenants: Vec<Tenant> = tenant_specs(spec.load_scale)
-                .into_iter()
-                .map(|ts| {
-                    let net =
-                        DistributedCnn::from_json(&baseline_json).expect("validated snapshot");
-                    Tenant::new(ts, net, pool.clone()).expect("non-empty pool")
-                })
-                .collect();
-            let serve_config = ServeConfig::new(spec.shards, spec.batch, 16, SERVICE_TIME)
-                .expect("valid config")
-                .with_batch_overhead(BATCH_OVERHEAD);
-            let mut server =
-                Server::new(serve_config, deployment(), tenants).expect("tenants present");
+            let tenants = baseline.tenants(tenant_specs(spec.load_scale));
+            let mut server = server(spec.shards, spec.batch, deployment(), tenants);
             server = match spec.degradation {
                 Degradation::Lossless => server,
                 Degradation::Substitute { mode, loss } => server.with_degraded(DegradedServing {
@@ -477,7 +420,7 @@ mod tests {
 
     #[test]
     fn reduced_run_shows_serving_behaviour() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let clean = report
             .row("accuracy (clean baseline, direct)")
             .unwrap()

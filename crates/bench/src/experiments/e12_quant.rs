@@ -21,18 +21,16 @@
 //!   quantized hop spans (`hop.q*`) land in the same traces the f32
 //!   path produces.
 
+use super::e10_serving::{deployment, server, tenant_specs};
+use super::e9_faults::{Baseline, PASS_PERIOD};
 use crate::report::{ExperimentReport, Row};
 use crate::sweep::SweepRunner;
-use zeiot_core::rng::SeedRng;
 use zeiot_core::time::SimDuration;
 use zeiot_fault::{DegradeMode, FaultPlan, RecoveryPolicy};
-use zeiot_microdeep::{Assignment, DistributedCnn, QuantizedCnn, WeightUpdate};
+use zeiot_microdeep::{DistributedCnn, QuantizedCnn};
 use zeiot_nn::tensor::Tensor;
 use zeiot_obs::trace::{Trace, TraceSampler, Tracer};
-use zeiot_serve::{
-    ArrivalProcess, DegradedServing, QuantMode, ServeConfig, ServeReport, Server, Tenant,
-    TenantSpec,
-};
+use zeiot_serve::{DegradedServing, QuantMode, ServeReport};
 
 /// Tunable experiment size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,18 +81,6 @@ pub const LOAD_SCALES: [f64; 2] = [1.0, 3.0];
 /// Per-attempt fabric loss rates swept (0 = lossless serving).
 pub const LOSS_RATES: [f64; 2] = [0.0, 0.05];
 
-/// Worker time per inference (matches E10/E11).
-const SERVICE_TIME: SimDuration = SimDuration::from_millis(40);
-
-/// Fixed worker time per dispatched micro-batch (matches E10/E11).
-const BATCH_OVERHEAD: SimDuration = SimDuration::from_millis(10);
-
-/// Relative deadline granted to every request (matches E10/E11).
-const DEADLINE: SimDuration = SimDuration::from_millis(400);
-
-/// Fabric clock advance per executed inference (matches E10/E11).
-const PASS_PERIOD: SimDuration = SimDuration::from_millis(500);
-
 /// `(mode, load scale, loss rate)` of sweep point `index`, row-major
 /// over [`MODES`] × [`LOAD_SCALES`] × [`LOSS_RATES`].
 pub fn point(index: usize) -> (QuantMode, f64, f64) {
@@ -118,30 +104,6 @@ fn condition_label(scale: f64, loss: f64) -> String {
     format!("load {scale:.2}x, loss {loss:.3}")
 }
 
-/// The E10/E11 tenant mix, scaled and fixed to one numeric format.
-fn tenant_specs(load_scale: f64, mode: QuantMode) -> Vec<TenantSpec> {
-    let mix = [
-        ("motion", ArrivalProcess::poisson(8.0)),
-        (
-            "doors",
-            ArrivalProcess::periodic(SimDuration::from_millis(150)),
-        ),
-        (
-            "hvac",
-            ArrivalProcess::bursts(
-                3,
-                SimDuration::from_millis(5),
-                SimDuration::from_millis(400),
-            ),
-        ),
-    ];
-    mix.into_iter()
-        .map(|(name, arrivals)| {
-            TenantSpec::new(name, arrivals.scaled(load_scale), DEADLINE).with_quant(mode)
-        })
-        .collect()
-}
-
 /// What one sweep point produced.
 #[derive(Debug, Clone)]
 struct PointResult {
@@ -161,66 +123,27 @@ impl PointResult {
     }
 }
 
-/// Runs E12 serially (equivalent to [`run_with`] at any thread count).
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
-}
-
-/// Runs E12 and discards the trace export.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
-    run_with_traces(params, runner).0
-}
-
 /// Runs E12: one clean baseline is trained and shared; each sweep point
 /// serves the tenant mix in one numeric format × load × loss, and a
 /// final serial differential pass compares the two formats directly on
 /// the held-out test set. Returns the report plus every sampled trace
 /// in `(point, tenant, seq)` order — byte-identical across thread
 /// counts.
-pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentReport, Vec<Trace>) {
-    let mut data_rng = SeedRng::with_stream(params.seed, 0xDA7A);
-    let data = super::e10_serving::generate_data(params.samples_per_class, &mut data_rng);
-    let split = data.len() * 4 / 5;
-    let (train, test) = data.split_at(split);
-
-    let config = super::e10_serving::cnn_config();
-    let topo = super::e10_serving::deployment();
-    let graph = config.unit_graph().expect("valid config");
-    let assignment = Assignment::balanced_correspondence(&graph, &topo);
-
-    let mut model_rng = SeedRng::with_stream(params.seed, 0x0DE1);
-    let mut baseline = DistributedCnn::new(
-        config,
-        assignment,
-        WeightUpdate::Independent,
-        &mut model_rng,
-    );
-    let mut train_rng = SeedRng::with_stream(params.seed, 0x7124);
-    for _ in 0..params.epochs {
-        baseline.train_epoch(train, 0.08, 8, &mut train_rng);
-    }
-    let baseline_json = baseline.to_json().expect("serializable model");
+pub fn run(params: &Params, runner: &SweepRunner) -> (ExperimentReport, Vec<Trace>) {
+    let baseline = Baseline::train(params.seed, params.samples_per_class, params.epochs);
 
     let horizon = SimDuration::from_secs(params.horizon_secs);
     let plan_seed = params.seed ^ 0xFA17;
     let rate = params.sample_rate.clamp(0.0, 1.0);
     let points = MODES.len() * LOAD_SCALES.len() * LOSS_RATES.len();
-    let pool: Vec<(Tensor, usize)> = test.to_vec();
+    let pool = &baseline.test;
 
     let sweep = runner.run_seeded(params.seed ^ 0xE12A, points, |index, _rng, recorder| {
         let (mode, scale, loss) = point(index);
-        let tenants: Vec<Tenant> = tenant_specs(scale, mode)
+        let specs = tenant_specs(scale)
             .into_iter()
-            .map(|ts| {
-                let net = DistributedCnn::from_json(&baseline_json).expect("validated snapshot");
-                Tenant::new(ts, net, pool.clone()).expect("non-empty pool")
-            })
-            .collect();
-        let serve_config = ServeConfig::new(2, 4, 16, SERVICE_TIME)
-            .expect("valid config")
-            .with_batch_overhead(BATCH_OVERHEAD);
-        let mut server = Server::new(serve_config, super::e10_serving::deployment(), tenants)
-            .expect("tenants present");
+            .map(|ts| ts.with_quant(mode));
+        let mut server = server(2, 4, deployment(), baseline.tenants(specs));
         if loss > 0.0 {
             server = server.with_degraded(DegradedServing {
                 plan: FaultPlan::uniform(plan_seed, loss).expect("valid rate"),
@@ -293,16 +216,16 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
     // Direct differential pass over the held-out test set, outside the
     // serving loop: the same frozen model tenants deploy (calibrated on
     // the same pool), compared logit-by-logit against f32.
-    let mut f32_model = DistributedCnn::from_json(&baseline_json).expect("validated snapshot");
+    let mut f32_model = DistributedCnn::from_json(&baseline.json).expect("validated snapshot");
     let mut int8_model = {
-        let mut m = DistributedCnn::from_json(&baseline_json).expect("validated snapshot");
+        let mut m = DistributedCnn::from_json(&baseline.json).expect("validated snapshot");
         let calibration: Vec<Tensor> = pool.iter().map(|(x, _)| x.clone()).collect();
         QuantizedCnn::new(&mut m, &calibration)
     };
     let mut agree = 0usize;
     let mut max_logit_delta = 0.0f64;
     let (mut f32_correct, mut int8_correct) = (0usize, 0usize);
-    for (x, t) in test {
+    for (x, t) in &baseline.test {
         let f = f32_model.forward(x);
         let q = int8_model.forward_quantized(x);
         if f.argmax() == q.argmax() {
@@ -318,7 +241,7 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
             max_logit_delta = max_logit_delta.max((a as f64 - b as f64).abs());
         }
     }
-    let n = test.len().max(1) as f64;
+    let n = baseline.test.len().max(1) as f64;
     report.push(Row::measured_only(
         "top-1 agreement (direct)",
         agree as f64 / n,
@@ -365,7 +288,7 @@ mod tests {
 
     #[test]
     fn reduced_run_compares_formats_and_traces_quantized_hops() {
-        let (report, traces) = run_with_traces(&Params::reduced(), &SweepRunner::serial());
+        let (report, traces) = run(&Params::reduced(), &SweepRunner::serial());
         // The direct differential pass bounds the quantization error.
         let agreement = report
             .row("top-1 agreement (direct)")
@@ -396,8 +319,8 @@ mod tests {
 
     #[test]
     fn report_and_traces_are_reproducible() {
-        let (report_a, traces_a) = run_with_traces(&Params::reduced(), &SweepRunner::serial());
-        let (report_b, traces_b) = run_with_traces(&Params::reduced(), &SweepRunner::serial());
+        let (report_a, traces_a) = run(&Params::reduced(), &SweepRunner::serial());
+        let (report_b, traces_b) = run(&Params::reduced(), &SweepRunner::serial());
         assert_eq!(report_a.to_json(), report_b.to_json());
         assert_eq!(traces_a, traces_b);
     }

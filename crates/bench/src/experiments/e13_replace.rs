@@ -29,22 +29,17 @@
 //!   faults), and the report and trace JSONL export are byte-identical
 //!   across `--threads 1/4` (CI diffs the `e13_replace` bin's output).
 
+use super::e10_serving::{deployment, server, tenant_specs};
+use super::e9_faults::{brownout_device, Baseline, PASS_PERIOD, TRACE_BUDGET};
 use crate::report::{ExperimentReport, Row};
 use crate::sweep::SweepRunner;
 use zeiot_core::id::NodeId;
-use zeiot_core::rng::SeedRng;
 use zeiot_core::time::{SimDuration, SimTime};
-use zeiot_core::units::Watt;
-use zeiot_energy::capacitor::Capacitor;
-use zeiot_energy::consumer::PowerProfile;
-use zeiot_energy::harvester::ConstantSource;
-use zeiot_energy::intermittent::IntermittentDevice;
 use zeiot_fault::{DegradeMode, FaultPlan, RecoveryPolicy};
 use zeiot_microdeep::replace::{apply_offline, plan_incremental, ReplaceConfig};
-use zeiot_microdeep::{Assignment, DistributedCnn, WeightUpdate};
-use zeiot_nn::tensor::Tensor;
+use zeiot_microdeep::DistributedCnn;
 use zeiot_obs::trace::{Trace, TraceSampler, Tracer};
-use zeiot_serve::{DegradedServing, Outcome, ServeConfig, ServeReport, Server, Tenant};
+use zeiot_serve::{DegradedServing, Outcome, ServeReport, Tenant};
 
 /// Tunable experiment size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,19 +142,6 @@ pub const POLICIES: [RecoveryPolicy; 2] = [
 /// recovery comparison.
 const LOSS_RATE: f64 = 0.0;
 
-/// Worker time per inference (matches E10–E12).
-const SERVICE_TIME: SimDuration = SimDuration::from_millis(40);
-
-/// Fixed worker time per dispatched micro-batch (matches E10–E12).
-const BATCH_OVERHEAD: SimDuration = SimDuration::from_millis(10);
-
-/// Fabric clock advance per executed inference (matches E10–E12).
-const PASS_PERIOD: SimDuration = SimDuration::from_millis(500);
-
-/// Simulated-time budget of the capacitor traces driving the brownout
-/// outage windows (matches E9).
-const TRACE_BUDGET: SimDuration = SimDuration::from_secs(120);
-
 /// Brownout candidates in dark-first order: [`OUTAGE_LEVELS`] level
 /// `k` puts capacitor traces on the first `k`. Nodes 6 and 2 sit in
 /// the mesh's signal-free corners (neither class lights their sensor
@@ -169,19 +151,6 @@ const TRACE_BUDGET: SimDuration = SimDuration::from_secs(120);
 /// Node 5 additionally covers class-1 pixels, so level 3 shows the
 /// physics bound: units migrate, dead sensors do not.
 const BROWNOUT_NODES: [u32; 3] = [6, 2, 5];
-
-/// A duty-cycling zero-energy device (E9's): the 15 µW harvest cannot
-/// sustain the backscatter tag's 20 µW compute draw, so the capacitor
-/// browns out periodically.
-fn brownout_device() -> IntermittentDevice<ConstantSource> {
-    IntermittentDevice::new(
-        ConstantSource::new(Watt::new(15e-6)).expect("positive harvest"),
-        Capacitor::new(100e-6, 2.4, 1.8, 3.0).expect("valid capacitor"),
-        PowerProfile::backscatter_tag().expect("valid profile"),
-        SimDuration::from_millis(10),
-    )
-    .expect("valid device")
-}
 
 /// `(outage level, budget, policy)` of sweep point `index`, row-major
 /// over [`OUTAGE_LEVELS`] × [`BUDGETS`] × [`POLICIES`].
@@ -246,55 +215,26 @@ struct PointResult {
     arms: Vec<ArmResult>,
 }
 
-/// Runs E13 serially (equivalent to [`run_with`] at any thread count).
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
-}
-
-/// Runs E13 and discards the trace export.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
-    run_with_traces(params, runner).0
-}
-
 /// Runs E13: one clean baseline is trained and shared; each sweep
 /// point derives its outage windows from capacitor traces, then serves
 /// the E10 tenant mix once per recovery arm through an identical fault
 /// fabric. Returns the report plus every sampled trace in `(point,
 /// arm, tenant, seq)` order — byte-identical across thread counts.
-pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentReport, Vec<Trace>) {
-    let mut data_rng = SeedRng::with_stream(params.seed, 0xDA7A);
-    let data = super::e10_serving::generate_data(params.samples_per_class, &mut data_rng);
-    let split = data.len() * 4 / 5;
-    let (train, test) = data.split_at(split);
-
-    let config = super::e10_serving::cnn_config();
-    let topo = super::e10_serving::deployment();
-    let graph = config.unit_graph().expect("valid config");
-    let assignment = Assignment::balanced_correspondence(&graph, &topo);
-
-    let mut model_rng = SeedRng::with_stream(params.seed, 0x0DE1);
-    let mut baseline = DistributedCnn::new(
-        config,
-        assignment,
-        WeightUpdate::Independent,
-        &mut model_rng,
-    );
-    let mut train_rng = SeedRng::with_stream(params.seed, 0x7124);
-    for _ in 0..params.epochs {
-        baseline.train_epoch(train, 0.08, 8, &mut train_rng);
-    }
-    let baseline_json = baseline.to_json().expect("serializable model");
+pub fn run(params: &Params, runner: &SweepRunner) -> (ExperimentReport, Vec<Trace>) {
+    let mut baseline = Baseline::train(params.seed, params.samples_per_class, params.epochs);
+    let topo = deployment();
+    let graph = baseline.model.config().unit_graph().expect("valid config");
 
     let horizon = SimDuration::from_secs(params.horizon_secs);
     let plan_seed = params.seed ^ 0xFA17;
     let rate = params.sample_rate.clamp(0.0, 1.0);
     let points = OUTAGE_LEVELS.len() * BUDGETS.len() * POLICIES.len();
-    let pool: Vec<(Tensor, usize)> = test.to_vec();
+    let pool = &baseline.test;
     // Clean-model reference logits per pool sample (request `seq`
     // serves `pool[seq % len]`), for the per-arm fidelity axis.
     let refs: Vec<Vec<f32>> = pool
         .iter()
-        .map(|(x, _)| baseline.forward(x).data().to_vec())
+        .map(|(x, _)| baseline.model.forward(x).data().to_vec())
         .collect();
 
     let sweep = runner.run_seeded(params.seed ^ 0xE13A, points, |index, rng, recorder| {
@@ -322,11 +262,11 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
             .iter()
             .enumerate()
             .map(|(arm_index, &arm)| {
-                let tenants: Vec<Tenant> = super::e10_serving::tenant_specs(1.0)
+                let tenants: Vec<Tenant> = tenant_specs(1.0)
                     .into_iter()
                     .map(|ts| {
                         let mut net =
-                            DistributedCnn::from_json(&baseline_json).expect("validated snapshot");
+                            DistributedCnn::from_json(&baseline.json).expect("validated snapshot");
                         if arm == Recovery::Static && !union_down.is_empty() {
                             let (_, outcome) = {
                                 let current = net.assignment().clone();
@@ -337,12 +277,7 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
                         Tenant::new(ts, net, pool.clone()).expect("non-empty pool")
                     })
                     .collect();
-                let serve_config = ServeConfig::new(2, 4, 16, SERVICE_TIME)
-                    .expect("valid config")
-                    .with_batch_overhead(BATCH_OVERHEAD);
-                let mut server =
-                    Server::new(serve_config, super::e10_serving::deployment(), tenants)
-                        .expect("tenants present");
+                let mut server = server(2, 4, deployment(), tenants);
                 server = server.with_degraded(DegradedServing {
                     plan: plan.clone(),
                     policy,
@@ -482,7 +417,7 @@ mod tests {
     #[test]
     fn zero_outage_points_are_byte_identical_across_arms() {
         let params = Params::reduced();
-        let (report, _) = run_with_traces(&params, &SweepRunner::serial());
+        let (report, _) = run(&params, &SweepRunner::serial());
         // At outage level 0 the engine is a strict no-op, so all four
         // arms must land on the same accuracy and fault totals.
         for index in 0..BUDGETS.len() * POLICIES.len() {
@@ -526,7 +461,7 @@ mod tests {
     #[test]
     fn replacement_beats_no_recovery_and_stays_in_budget() {
         let params = Params::reduced();
-        let (report, traces) = run_with_traces(&params, &SweepRunner::serial());
+        let (report, traces) = run(&params, &SweepRunner::serial());
         let dark: Vec<usize> = [2, 3].iter().flat_map(|&l| points_at_level(l)).collect();
         // Under brownouts the incremental engine must migrate, pay
         // real handoff cost, and never out-migrate the full re-solve.
@@ -618,8 +553,8 @@ mod tests {
 
     #[test]
     fn report_and_traces_are_reproducible() {
-        let (report_a, traces_a) = run_with_traces(&Params::reduced(), &SweepRunner::serial());
-        let (report_b, traces_b) = run_with_traces(&Params::reduced(), &SweepRunner::serial());
+        let (report_a, traces_a) = run(&Params::reduced(), &SweepRunner::serial());
+        let (report_b, traces_b) = run(&Params::reduced(), &SweepRunner::serial());
         assert_eq!(report_a.to_json(), report_b.to_json());
         assert_eq!(traces_a, traces_b);
     }

@@ -26,9 +26,10 @@
 //!   byte-identical across `--threads 1/4` (CI diffs the `e14_venue`
 //!   bin's output), and the reduced report is a golden fixture.
 
+use super::e10_serving::server;
+use super::e9_faults::PASS_PERIOD;
 use crate::report::{ExperimentReport, Row};
 use crate::sweep::SweepRunner;
-use zeiot_core::time::SimDuration;
 use zeiot_fault::{DegradeMode, FaultPlan, RecoveryPolicy};
 use zeiot_net::Topology;
 use zeiot_obs::trace::{Trace, TraceSampler, Tracer};
@@ -37,7 +38,7 @@ use zeiot_scenario::{
     log_posterior, mode_discount, reliability_weight, CompiledScenario, Evidence, FusionEngine,
     FusionPolicy, FusionStats, Scenario, Venue, DEFAULT_EVIDENCE_FLOOR,
 };
-use zeiot_serve::{DegradedServing, DwellState, Outcome, ServeConfig, Server, ServiceMode};
+use zeiot_serve::{DegradedServing, DwellState, Outcome, ServiceMode};
 
 /// Tunable experiment size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,15 +88,6 @@ pub const FAULT_LEVELS: [f64; 3] = [0.0, 0.05, 0.15];
 /// The nominal operating point the headline acceptance row is read at.
 pub const DEFAULT_FAULT: f64 = 0.05;
 
-/// Worker time per inference (matches E10–E13).
-const SERVICE_TIME: SimDuration = SimDuration::from_millis(40);
-
-/// Fixed worker time per dispatched micro-batch (matches E10–E13).
-const BATCH_OVERHEAD: SimDuration = SimDuration::from_millis(10);
-
-/// Fabric clock advance per executed inference (matches E10–E13).
-const PASS_PERIOD: SimDuration = SimDuration::from_millis(500);
-
 /// `(venue index, fault level)` of sweep point `index`, row-major over
 /// [`Venue::ALL`] × [`FAULT_LEVELS`].
 pub fn point(index: usize) -> (usize, f64) {
@@ -134,22 +126,12 @@ struct PointResult {
     traces: Vec<Trace>,
 }
 
-/// Runs E14 serially (equivalent to [`run_with`] at any thread count).
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
-}
-
-/// Runs E14 and discards the trace export.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
-    run_with_traces(params, runner).0
-}
-
 /// Runs E14: both venues are compiled once and shared; each sweep point
 /// serves the four modality tenants through one uniform-loss fabric,
 /// then scores every fusion policy and single-modality baseline from
 /// the same completions. Returns the report plus every sampled trace in
 /// `(point, tenant, seq)` order — byte-identical across thread counts.
-pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentReport, Vec<Trace>) {
+pub fn run(params: &Params, runner: &SweepRunner) -> (ExperimentReport, Vec<Trace>) {
     let compiled: Vec<CompiledScenario> = Venue::ALL
         .iter()
         .map(|&venue| {
@@ -176,10 +158,7 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
         let modality_count = scenario.modalities().len();
 
         let tenants = scenario.make_tenants(topo.len()).expect("compiled pools");
-        let config = ServeConfig::new(4, 4, 16, SERVICE_TIME)
-            .expect("valid config")
-            .with_batch_overhead(BATCH_OVERHEAD);
-        let mut server = Server::new(config, topo.clone(), tenants).expect("tenants present");
+        let mut server = server(4, 4, topo.clone(), tenants);
         // Every point serves through a fabric — fault 0 uses a lossless
         // plan rather than no fabric, so the clean arm exercises the
         // same gather/span machinery it is compared against.
@@ -401,7 +380,7 @@ mod tests {
     #[test]
     fn fused_beats_singles_and_degrades_gracefully() {
         let params = Params::reduced();
-        let (report, traces) = run_with_traces(&params, &SweepRunner::serial());
+        let (report, traces) = run(&params, &SweepRunner::serial());
         for venue in Venue::ALL {
             // Zero-fault: reliability-weighted fusion at least matches
             // the best single modality.
@@ -447,7 +426,7 @@ mod tests {
     fn default_table_fused_beats_every_single_at_the_nominal_fault() {
         // The acceptance criterion is read off the committed
         // EXPERIMENTS.md table, which is produced at default params.
-        let (report, _) = run_with_traces(&Params::default(), &SweepRunner::serial());
+        let (report, _) = run(&Params::default(), &SweepRunner::serial());
         for venue in Venue::ALL {
             let nominal = format!("{}, fault {}", venue.label(), fault_label(DEFAULT_FAULT));
             let fused = row(
@@ -466,8 +445,8 @@ mod tests {
 
     #[test]
     fn report_and_traces_are_reproducible() {
-        let (report_a, traces_a) = run_with_traces(&Params::reduced(), &SweepRunner::serial());
-        let (report_b, traces_b) = run_with_traces(&Params::reduced(), &SweepRunner::serial());
+        let (report_a, traces_a) = run(&Params::reduced(), &SweepRunner::serial());
+        let (report_b, traces_b) = run(&Params::reduced(), &SweepRunner::serial());
         assert_eq!(report_a.to_json(), report_b.to_json());
         assert_eq!(traces_a, traces_b);
     }

@@ -64,14 +64,9 @@ pub fn deployment() -> Topology {
     Topology::grid(10, 5, 5.0, 7.6).expect("valid layout")
 }
 
-/// Runs E1 serially (equivalent to [`run_with`] at any thread count).
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
-}
-
 /// Runs E1 with the two model arms (standard CNN, MicroDeep) trained as
 /// parallel sweep points; results are identical for every thread count.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
+pub fn run(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     let mut rng = SeedRng::new(params.seed);
     let generator = TemperatureFieldGenerator::paper_lounge().expect("paper lounge");
     let mut data = generator.generate(params.samples, &mut rng);
@@ -169,7 +164,7 @@ mod tests {
 
     #[test]
     fn reduced_run_reproduces_the_shape() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let std_acc = report.row("accuracy (standard CNN)").unwrap().measured;
         let md_acc = report.row("accuracy (MicroDeep)").unwrap().measured;
         let ratio = report

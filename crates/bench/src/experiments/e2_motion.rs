@@ -86,14 +86,9 @@ pub fn array_topology() -> Topology {
     Topology::grid(8, 8, 0.5, 0.75).expect("valid layout")
 }
 
-/// Runs E2 serially (equivalent to [`run_with`] at any thread count).
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
-}
-
 /// Runs E2 with the two parameter-set arms trained as parallel sweep
 /// points; results are identical for every thread count.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
+pub fn run(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     let mut rng = SeedRng::new(params.seed);
     let generator = GaitGenerator::paper_array().expect("paper array");
     let data = generator.generate(params.samples, params.subjects, &mut rng);
@@ -202,7 +197,7 @@ mod tests {
 
     #[test]
     fn reduced_run_reproduces_fig10_shape() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let max_opt = report
             .row("max per-node cost (optimal, Fig. 10a)")
             .unwrap()

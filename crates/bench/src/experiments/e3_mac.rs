@@ -10,7 +10,7 @@
 
 use crate::report::{ExperimentReport, Row};
 use crate::sweep::SweepRunner;
-use zeiot_backscatter::mac::{simulate, simulate_observed, MacConfig, MacMode};
+use zeiot_backscatter::mac::{simulate, MacConfig, MacFaults, MacMode};
 use zeiot_core::rng::SeedRng;
 use zeiot_core::time::SimDuration;
 
@@ -46,15 +46,6 @@ impl Params {
     }
 }
 
-/// Runs E3 serially (equivalent to [`run_with`] at any thread count).
-///
-/// # Panics
-///
-/// Panics if `params.device_counts` is empty.
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
-}
-
 /// Runs E3 with the device-count sweep fanned out across threads;
 /// results are identical for every thread count (each point seeds both
 /// MAC modes from the master seed, exactly as the serial harness always
@@ -63,7 +54,7 @@ pub fn run(params: &Params) -> ExperimentReport {
 /// # Panics
 ///
 /// Panics if `params.device_counts` is empty.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
+pub fn run(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     assert!(!params.device_counts.is_empty(), "need at least one point");
     let duration = SimDuration::from_secs(params.seconds);
 
@@ -78,18 +69,22 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
         |index, _rng, recorder| {
             let n = params.device_counts[index];
             let config = MacConfig::default_with_devices(n).expect("valid config");
-            let mut rng = SeedRng::new(params.seed);
-            let sched = if n == max_devices {
-                simulate_observed(&config, MacMode::Scheduled, duration, &mut rng, recorder)
-            } else {
-                simulate(&config, MacMode::Scheduled, duration, &mut rng)
+            let observed = n == max_devices;
+            let mut simulate_mode = |mode| {
+                let mut rng = SeedRng::new(params.seed);
+                let recorder = observed.then_some(&mut *recorder);
+                simulate(
+                    &config,
+                    mode,
+                    duration,
+                    &mut rng,
+                    &MacFaults::none(),
+                    recorder,
+                    None,
+                )
             };
-            let mut rng = SeedRng::new(params.seed);
-            let naive = if n == max_devices {
-                simulate_observed(&config, MacMode::Naive, duration, &mut rng, recorder)
-            } else {
-                simulate(&config, MacMode::Naive, duration, &mut rng)
-            };
+            let sched = simulate_mode(MacMode::Scheduled);
+            let naive = simulate_mode(MacMode::Naive);
             (
                 sched.wlan_delivery_ratio(),
                 naive.wlan_delivery_ratio(),
@@ -162,7 +157,7 @@ mod tests {
 
     #[test]
     fn reduced_run_reproduces_the_shape() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let wlan_sched = report
             .row("WLAN delivery @max devices (scheduled)")
             .unwrap()
@@ -189,7 +184,7 @@ mod tests {
     fn report_metrics_round_trip_as_jsonl() {
         // What the e3_mac binary writes under `--jsonl` must come back
         // intact through the deserializer.
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let snap = report.export_snapshot();
         assert!(snap.counter_total("mac.grants") > 0, "observed run empty");
         let text = zeiot_obs::to_jsonl(&snap);
@@ -203,11 +198,14 @@ mod tests {
 
     #[test]
     fn naive_wlan_degrades_monotonically_in_the_sweep() {
-        let report = run(&Params {
-            device_counts: vec![5, 20, 80],
-            seconds: 10,
-            seed: 3,
-        });
+        let report = run(
+            &Params {
+                device_counts: vec![5, 20, 80],
+                seconds: 10,
+                seed: 3,
+            },
+            &SweepRunner::serial(),
+        );
         let series = &report
             .series
             .iter()

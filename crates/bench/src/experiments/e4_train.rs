@@ -58,11 +58,6 @@ pub fn to_labelled(scene: &TrainScene) -> LabelledScene {
     }
 }
 
-/// Runs E4 serially (equivalent to [`run_with`] at any thread count).
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
-}
-
 /// Per-scene evaluation tallies, merged in scene order after the sweep.
 struct SceneTally {
     pos_correct: usize,
@@ -75,7 +70,7 @@ struct SceneTally {
 /// Scene generation and estimator fitting stay serial (they thread one
 /// RNG); evaluation is RNG-free, so per-scene tallies folded in scene
 /// order are identical for every thread count.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
+pub fn run(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     let generator = TrainSceneGenerator::paper_train().expect("paper train");
     let mut rng = SeedRng::new(params.seed);
     let train: Vec<LabelledScene> = (0..params.train_scenes)
@@ -161,7 +156,7 @@ mod tests {
 
     #[test]
     fn reduced_run_reproduces_the_shape() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let pos = report
             .row("car-level positioning accuracy")
             .unwrap()

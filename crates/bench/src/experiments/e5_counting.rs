@@ -93,11 +93,6 @@ fn measurement_round(
     })
 }
 
-/// Runs E5 serially (equivalent to [`run_with`] at any thread count).
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
-}
-
 /// Distinguishes the calibration sweep's derived RNG streams from the
 /// evaluation sweep's (same point indices, different master).
 const TEST_SWEEP_SALT: u64 = 0x7e57_0000_0000_0001;
@@ -105,7 +100,7 @@ const TEST_SWEEP_SALT: u64 = 0x7e57_0000_0000_0001;
 /// Runs E5 with one sweep point per occupancy count, for both the
 /// calibration and the evaluation rounds; each point draws from its own
 /// derived stream, so results are identical for every thread count.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
+pub fn run(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     let sampler = RssiSampler::ieee802154(laboratory())
         .expect("sampler")
         .with_noise_sigma(1.2)
@@ -175,7 +170,7 @@ mod tests {
 
     #[test]
     fn reduced_run_reproduces_the_shape() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let exact = report.row("exact-count accuracy").unwrap().measured;
         let within2 = report.row("errors within two people").unwrap().measured;
         let mae = report.row("mean absolute error").unwrap().measured;

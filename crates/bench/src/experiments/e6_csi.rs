@@ -64,15 +64,10 @@ fn pattern_name(p: CsiPattern) -> String {
     format!("{behaviour}/{antenna}")
 }
 
-/// Runs E6 serially (equivalent to [`run_with`] at any thread count).
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
-}
-
 /// Runs E6 with one sweep point per behaviour/antenna pattern, each
 /// sampling from its own derived stream; results are identical for every
 /// thread count.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
+pub fn run(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     let generator = CsiGenerator::new(params.seed).expect("generator");
     let patterns = CsiPattern::all();
 
@@ -136,7 +131,7 @@ mod tests {
 
     #[test]
     fn reduced_run_reproduces_the_shape() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let best = report.row("best-pattern accuracy").unwrap().measured;
         assert!(best > 0.85, "best={best}");
         // The walking/divergent pattern should be the winner (or tied).
@@ -146,7 +141,7 @@ mod tests {
 
     #[test]
     fn six_pattern_rows_present() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let pattern_rows = report
             .rows
             .iter()

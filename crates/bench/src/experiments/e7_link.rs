@@ -41,22 +41,13 @@ impl Params {
     }
 }
 
-/// Runs E7 serially (equivalent to [`run_with`] at any thread count).
-///
-/// # Panics
-///
-/// Panics if `params.distances_m` is empty.
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
-}
-
 /// Runs E7 with the distance sweep fanned out across threads; the link
 /// model is RNG-free, so results are identical for every thread count.
 ///
 /// # Panics
 ///
 /// Panics if `params.distances_m` is empty.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
+pub fn run(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     assert!(!params.distances_m.is_empty(), "need at least one distance");
     let zigbee = BackscatterLink::zigbee_testbed().expect("profile");
     let wifi = BackscatterLink::wifi_full_duplex_ap().expect("profile");
@@ -127,7 +118,7 @@ mod tests {
 
     #[test]
     fn reduced_run_reproduces_the_shape() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let range = report
             .row("90%-success range, ZigBee backscatter")
             .unwrap()

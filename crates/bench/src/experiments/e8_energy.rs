@@ -66,23 +66,13 @@ fn duty_cycle_at(harvest_uw: f64, seconds: u64, rng: &mut SeedRng, recorder: &mu
     )
     .expect("task");
     device
-        .run_observed(
+        .run(
             &task,
             SimDuration::from_secs(seconds),
             rng,
-            recorder,
-            Label::part(format!("{harvest_uw}uW")),
+            Some((recorder, Label::part(format!("{harvest_uw}uW")))),
         )
         .duty_cycle
-}
-
-/// Runs E8 serially (equivalent to [`run_with`] at any thread count).
-///
-/// # Panics
-///
-/// Panics if `params.harvest_uw` is empty.
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
 }
 
 /// Runs E8 with the harvest-power sweep fanned out across threads; each
@@ -92,7 +82,7 @@ pub fn run(params: &Params) -> ExperimentReport {
 /// # Panics
 ///
 /// Panics if `params.harvest_uw` is empty.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
+pub fn run(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     assert!(!params.harvest_uw.is_empty(), "need at least one point");
     let tag = PowerProfile::backscatter_tag().expect("profile");
     let node = PowerProfile::active_802154_node().expect("profile");
@@ -163,7 +153,7 @@ mod tests {
 
     #[test]
     fn reduced_run_reproduces_the_paper_taxonomy() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let ratio = report
             .row("active-radio / backscatter power ratio")
             .unwrap()
@@ -190,7 +180,7 @@ mod tests {
     #[test]
     fn full_sweep_merges_metrics_across_points() {
         let params = Params::default();
-        let report = run(&params);
+        let report = run(&params, &SweepRunner::serial());
         let snap = report.metrics.as_ref().expect("metrics attached");
         let labels: std::collections::BTreeSet<_> = snap
             .counters

@@ -39,6 +39,7 @@ use zeiot_microdeep::{Assignment, CnnConfig, DistributedCnn, WeightUpdate};
 use zeiot_net::Topology;
 use zeiot_nn::tensor::Tensor;
 use zeiot_obs::Label;
+use zeiot_serve::{Tenant, TenantSpec};
 
 /// Tunable experiment size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,20 +132,79 @@ fn generate_data(samples_per_class: usize, rng: &mut SeedRng) -> Vec<(Tensor, us
     data
 }
 
+/// The clean baseline E9–E13 share: [`generate_data`] split 80/20 into
+/// train and test sets, and a [`DistributedCnn`] on [`deployment`]
+/// trained losslessly on the train set.
+pub(crate) struct Baseline {
+    /// The first 80 % of the data.
+    pub train: Vec<(Tensor, usize)>,
+    /// The held-out 20 %.
+    pub test: Vec<(Tensor, usize)>,
+    /// The trained model.
+    pub model: DistributedCnn,
+    /// The trained model's JSON snapshot, which sweep points restore.
+    pub json: String,
+}
+
+impl Baseline {
+    /// Generates the data and trains the model for `epochs`, each draw
+    /// from its own stream of `seed` (`0xDA7A` data, `0x0DE1` weights,
+    /// `0x7124` shuffling).
+    pub(crate) fn train(seed: u64, samples_per_class: usize, epochs: usize) -> Self {
+        let mut data_rng = SeedRng::with_stream(seed, 0xDA7A);
+        let mut train = generate_data(samples_per_class, &mut data_rng);
+        let test = train.split_off(train.len() * 4 / 5);
+
+        let config = cnn_config();
+        let graph = config.unit_graph().expect("valid config");
+        let assignment = Assignment::balanced_correspondence(&graph, &deployment());
+        let mut model_rng = SeedRng::with_stream(seed, 0x0DE1);
+        let mut model = DistributedCnn::new(
+            config,
+            assignment,
+            WeightUpdate::Independent,
+            &mut model_rng,
+        );
+        let mut train_rng = SeedRng::with_stream(seed, 0x7124);
+        for _ in 0..epochs {
+            model.train_epoch(&train, 0.08, 8, &mut train_rng);
+        }
+        let json = model.to_json().expect("serializable model");
+        Self {
+            train,
+            test,
+            model,
+            json,
+        }
+    }
+
+    /// One serving tenant per spec, each over a fresh copy of the model
+    /// restored from its snapshot and drawing requests from the test set.
+    pub(crate) fn tenants(&self, specs: impl IntoIterator<Item = TenantSpec>) -> Vec<Tenant> {
+        specs
+            .into_iter()
+            .map(|spec| {
+                let net = DistributedCnn::from_json(&self.json).expect("validated snapshot");
+                Tenant::new(spec, net, self.test.clone()).expect("non-empty pool")
+            })
+            .collect()
+    }
+}
+
 /// One inference pass's worth of simulated time on the mesh.
-const PASS_PERIOD: SimDuration = SimDuration::from_millis(500);
+pub(crate) const PASS_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// Brownout-harvesting mesh nodes in the final scenario.
 const BROWNOUT_NODES: [u32; 3] = [0, 4, 8];
 
 /// Simulated-time budget of the capacitor traces driving the brownout
 /// outage windows.
-const TRACE_BUDGET: SimDuration = SimDuration::from_secs(120);
+pub(crate) const TRACE_BUDGET: SimDuration = SimDuration::from_secs(120);
 
 /// A duty-cycling zero-energy device: the 15 µW harvest cannot sustain
 /// the backscatter tag's 20 µW compute draw, so the capacitor browns out
 /// periodically.
-fn brownout_device() -> IntermittentDevice<ConstantSource> {
+pub(crate) fn brownout_device() -> IntermittentDevice<ConstantSource> {
     IntermittentDevice::new(
         ConstantSource::new(Watt::new(15e-6)).expect("positive harvest"),
         Capacitor::new(100e-6, 2.4, 1.8, 3.0).expect("valid capacitor"),
@@ -161,41 +221,19 @@ struct PointOutcome {
     downtime: f64,
 }
 
-/// Runs E9 serially (equivalent to [`run_with`] at any thread count).
-pub fn run(params: &Params) -> ExperimentReport {
-    run_with(params, &SweepRunner::serial())
-}
-
 /// Runs E9: a clean baseline is trained once, then every (policy ×
 /// loss-rate) point re-evaluates it through its own fault fabric as a
 /// parallel sweep point, plus one brownout point that trains through
 /// the faults. Results are identical for every thread count.
-pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
-    let mut data_rng = SeedRng::with_stream(params.seed, 0xDA7A);
-    let data = generate_data(params.samples_per_class, &mut data_rng);
-    let split = data.len() * 4 / 5;
-    let (train, test) = data.split_at(split);
-
-    let config = cnn_config();
-    let topo = deployment();
-    let graph = config.unit_graph().expect("valid config");
-    let assignment = Assignment::balanced_correspondence(&graph, &topo);
-
+pub fn run(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     // The shared clean baseline, trained losslessly once; sweep points
     // restore it from its validated JSON snapshot.
-    let mut model_rng = SeedRng::with_stream(params.seed, 0x0DE1);
-    let mut baseline = DistributedCnn::new(
-        config,
-        assignment.clone(),
-        WeightUpdate::Independent,
-        &mut model_rng,
-    );
-    let mut train_rng = SeedRng::with_stream(params.seed, 0x7124);
-    for _ in 0..params.epochs {
-        baseline.train_epoch(train, 0.08, 8, &mut train_rng);
-    }
-    let clean_accuracy = baseline.accuracy(test);
-    let baseline_json = baseline.to_json().expect("serializable model");
+    let mut baseline = Baseline::train(params.seed, params.samples_per_class, params.epochs);
+    let clean_accuracy = baseline.model.accuracy(&baseline.test);
+    let (train, test) = (&baseline.train[..], &baseline.test[..]);
+    let config = *baseline.model.config();
+    let assignment = baseline.model.assignment();
+    let topo = deployment();
 
     let plan_seed = params.seed ^ 0xFA17;
     let policy_set = policies();
@@ -206,7 +244,7 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
         if index < brownout_index {
             // Inference-time faults on the pre-trained model, restored
             // from its validated JSON snapshot.
-            let mut net = DistributedCnn::from_json(&baseline_json).expect("validated snapshot");
+            let mut net = DistributedCnn::from_json(&baseline.json).expect("validated snapshot");
             let policy = policy_set[index / LOSS_RATES.len()];
             let rate = LOSS_RATES[index % LOSS_RATES.len()];
             let plan = FaultPlan::uniform(plan_seed, rate).expect("valid rate");
@@ -339,7 +377,7 @@ mod tests {
 
     #[test]
     fn reduced_run_shows_policy_ordering() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let clean = report.row("accuracy (clean baseline)").unwrap().measured;
         assert!(clean > 0.8, "clean={clean}");
         // p=0: every policy matches the clean baseline exactly.

@@ -2,7 +2,14 @@
 //!
 //! Each module exposes a `Params` struct whose `Default` is the
 //! paper-scale configuration, a `reduced()` constructor for fast CI runs,
-//! and a `run(&Params) -> ExperimentReport`.
+//! and one entry point, `run(&Params, &SweepRunner)`. It returns the
+//! `ExperimentReport`, or `(ExperimentReport, Vec<Trace>)` for the traced
+//! experiments E11–E14. Results are identical for every thread count;
+//! pass `SweepRunner::serial()` to run on the calling thread.
+//!
+//! E9–E13 share one fixture set: E9's deployment, CNN, data and trained
+//! baseline (`e9_faults::Baseline`), and E10's tenant mix and serving
+//! constants.
 
 pub mod ablations;
 pub mod e10_serving;

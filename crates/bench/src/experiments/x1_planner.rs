@@ -7,6 +7,7 @@
 //! failures.
 
 use crate::report::{ExperimentReport, Row};
+use crate::sweep::SweepRunner;
 use zeiot_core::id::NodeId;
 use zeiot_core::time::SimDuration;
 use zeiot_net::Topology;
@@ -40,12 +41,13 @@ impl Params {
     }
 }
 
-/// Runs X1.
+/// Runs X1. The planner runs serially, so the runner is unused; it
+/// keeps the signature every experiment shares.
 ///
 /// # Panics
 ///
 /// Panics if either sweep list is empty.
-pub fn run(params: &Params) -> ExperimentReport {
+pub fn run(params: &Params, _runner: &SweepRunner) -> ExperimentReport {
     assert!(
         !params.grid_sides.is_empty() && !params.channels.is_empty(),
         "sweeps must be non-empty"
@@ -128,7 +130,7 @@ mod tests {
 
     #[test]
     fn reduced_run_has_sane_scaling() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let one_ch = &report
             .series
             .iter()

@@ -10,6 +10,7 @@
 //! but coarse) against their fusion — the fused estimator should win.
 
 use crate::report::{ExperimentReport, Row};
+use crate::sweep::SweepRunner;
 use zeiot_backscatter::phy::BackscatterLink;
 use zeiot_core::geometry::Point2;
 use zeiot_core::rng::SeedRng;
@@ -131,8 +132,9 @@ fn observe(
     Some(RoundFeatures { direct, indirect })
 }
 
-/// Runs X2.
-pub fn run(params: &Params) -> ExperimentReport {
+/// Runs X2. The fusion arms run serially, so the runner is unused;
+/// it keeps the signature every experiment shares.
+pub fn run(params: &Params, _runner: &SweepRunner) -> ExperimentReport {
     let topo = Topology::grid(4, 4, 3.0, 4.5).expect("valid layout");
     let sampler = RssiSampler::ieee802154(topo)
         .expect("sampler")
@@ -219,7 +221,7 @@ mod tests {
 
     #[test]
     fn fusion_beats_both_modalities() {
-        let report = run(&Params::reduced());
+        let report = run(&Params::reduced(), &SweepRunner::serial());
         let direct = report
             .row("accuracy, direct sensing only")
             .unwrap()

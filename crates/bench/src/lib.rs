@@ -3,12 +3,14 @@
 //! Experiment harnesses regenerating every quantitative result in the
 //! paper's evaluation, plus Criterion micro-benchmarks of the hot paths.
 //!
-//! Each experiment is a library function (`experiments::e1_temperature`
-//! … `e10_serving`) returning an [`ExperimentReport`] of
-//! paper-vs-measured rows; the `src/bin/e*.rs` binaries are thin
-//! wrappers over the shared [`cli::run_experiment`] front end.
-//! Integration tests run reduced-size variants of the same functions,
-//! so the harness logic itself is under test.
+//! Each experiment module (`experiments::e1_temperature` …
+//! `e14_venue`, `x1_planner`, `x2_fusion`, `ablations`) has one entry
+//! point, `run(&Params, &SweepRunner)`, returning an [`ExperimentReport`]
+//! of paper-vs-measured rows (plus the sampled traces for E11–E14). The
+//! `src/bin/*.rs` binaries are thin wrappers over the shared
+//! [`cli::run_experiment`] and [`cli::run_traced_experiment`] front
+//! ends. Integration tests run reduced-size variants of the same
+//! functions, so the harness logic itself is under test.
 //!
 //! Run everything (release mode strongly recommended):
 //!
@@ -23,6 +25,10 @@
 //! cargo run --release -p zeiot-bench --bin e8_energy
 //! cargo run --release -p zeiot-bench --bin e9_faults
 //! cargo run --release -p zeiot-bench --bin e10_serving
+//! cargo run --release -p zeiot-bench --bin e11_slo
+//! cargo run --release -p zeiot-bench --bin e12_quant
+//! cargo run --release -p zeiot-bench --bin e13_replace
+//! cargo run --release -p zeiot-bench --bin e14_venue
 //! ```
 
 pub mod cli;

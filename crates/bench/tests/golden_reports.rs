@@ -40,31 +40,30 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn e1_reduced_report_matches_golden() {
-    let report =
-        e1_temperature::run_with(&e1_temperature::Params::reduced(), &SweepRunner::serial());
+    let report = e1_temperature::run(&e1_temperature::Params::reduced(), &SweepRunner::serial());
     check_golden("e1_reduced.json", &report.to_json());
 }
 
 #[test]
 fn e4_reduced_report_matches_golden() {
-    let report = e4_train::run_with(&e4_train::Params::reduced(), &SweepRunner::serial());
+    let report = e4_train::run(&e4_train::Params::reduced(), &SweepRunner::serial());
     check_golden("e4_reduced.json", &report.to_json());
 }
 
 #[test]
 fn e12_reduced_report_matches_golden() {
-    let report = e12_quant::run_with(&e12_quant::Params::reduced(), &SweepRunner::serial());
+    let report = e12_quant::run(&e12_quant::Params::reduced(), &SweepRunner::serial()).0;
     check_golden("e12_reduced.json", &report.to_json());
 }
 
 #[test]
 fn e13_reduced_report_matches_golden() {
-    let report = e13_replace::run_with(&e13_replace::Params::reduced(), &SweepRunner::serial());
+    let report = e13_replace::run(&e13_replace::Params::reduced(), &SweepRunner::serial()).0;
     check_golden("e13_reduced.json", &report.to_json());
 }
 
 #[test]
 fn e14_reduced_report_matches_golden() {
-    let report = e14_venue::run_with(&e14_venue::Params::reduced(), &SweepRunner::serial());
+    let report = e14_venue::run(&e14_venue::Params::reduced(), &SweepRunner::serial()).0;
     check_golden("e14_reduced.json", &report.to_json());
 }

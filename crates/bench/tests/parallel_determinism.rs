@@ -14,16 +14,16 @@ use zeiot_bench::SweepRunner;
 #[test]
 fn e1_report_is_thread_count_invariant() {
     let params = e1_temperature::Params::reduced();
-    let serial = e1_temperature::run_with(&params, &SweepRunner::serial());
-    let threaded = e1_temperature::run_with(&params, &SweepRunner::new(4));
+    let serial = e1_temperature::run(&params, &SweepRunner::serial());
+    let threaded = e1_temperature::run(&params, &SweepRunner::new(4));
     assert_eq!(serial.to_json(), threaded.to_json());
 }
 
 #[test]
 fn e13_report_snapshot_and_traces_are_thread_count_invariant() {
     let params = e13_replace::Params::reduced();
-    let (serial, serial_traces) = e13_replace::run_with_traces(&params, &SweepRunner::serial());
-    let (threaded, threaded_traces) = e13_replace::run_with_traces(&params, &SweepRunner::new(4));
+    let (serial, serial_traces) = e13_replace::run(&params, &SweepRunner::serial());
+    let (threaded, threaded_traces) = e13_replace::run(&params, &SweepRunner::new(4));
     // The metrics snapshot rides inside the report JSON; compare it
     // separately first so a drift there fails with a focused message.
     assert_eq!(
@@ -40,8 +40,8 @@ fn e13_report_snapshot_and_traces_are_thread_count_invariant() {
 #[test]
 fn e14_report_snapshot_and_traces_are_thread_count_invariant() {
     let params = e14_venue::Params::reduced();
-    let (serial, serial_traces) = e14_venue::run_with_traces(&params, &SweepRunner::serial());
-    let (threaded, threaded_traces) = e14_venue::run_with_traces(&params, &SweepRunner::new(4));
+    let (serial, serial_traces) = e14_venue::run(&params, &SweepRunner::serial());
+    let (threaded, threaded_traces) = e14_venue::run(&params, &SweepRunner::new(4));
     assert_eq!(
         serial.metrics, threaded.metrics,
         "fusion.* counters diverged across thread counts"

@@ -215,10 +215,8 @@ fn int8_tracks_f32_across_topologies_and_seeds() {
 #[test]
 fn e12_report_and_traces_are_bit_exact_across_thread_counts() {
     let params = e12_quant::Params::reduced();
-    let (serial_report, serial_traces) =
-        e12_quant::run_with_traces(&params, &SweepRunner::serial());
-    let (threaded_report, threaded_traces) =
-        e12_quant::run_with_traces(&params, &SweepRunner::new(4));
+    let (serial_report, serial_traces) = e12_quant::run(&params, &SweepRunner::serial());
+    let (threaded_report, threaded_traces) = e12_quant::run(&params, &SweepRunner::new(4));
     assert_eq!(serial_report.to_json(), threaded_report.to_json());
     assert_eq!(
         traces_to_jsonl(&serial_traces),

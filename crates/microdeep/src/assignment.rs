@@ -52,7 +52,12 @@ impl Assignment {
     }
 
     /// All computational units on `sink`; inputs stay on their sensors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sink` is not a node of `topo`.
     pub fn centralized_at(graph: &UnitGraph, topo: &Topology, sink: NodeId) -> Self {
+        // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
         assert!(sink.index() < topo.len(), "sink out of range");
         let unit_host = (1..graph.layer_count())
             .map(|l| vec![sink; graph.units_in_layer(l)])
@@ -145,6 +150,7 @@ impl Assignment {
                         let mut chosen = NodeId::new((rr % n) as u32);
                         for probe in 0..n {
                             let candidate = NodeId::new(((rr + probe) % n) as u32);
+                            // zeiot-audit: allow(p1) -- `load` has one slot per node of `topo`, every NodeId indexed here comes from `topo`, and `unit_host`/`consumers` are sized from the same `graph` whose layers and dependencies drive the loops
                             if load[candidate.index()] < cap {
                                 chosen = candidate;
                                 rr += probe + 1;
@@ -276,7 +282,10 @@ impl Assignment {
     ///
     /// Panics if the layer or unit index is out of range.
     pub fn host_of(&self, layer: usize, unit: usize) -> NodeId {
+        // Runs once per message and per unit in every pass, so it keeps
+        // the plain index.
         if layer == 0 {
+            // zeiot-audit: allow(p1) -- documented `# Panics` precondition; the executor and cost model only ask for (layer, unit) pairs of the unit graph the placement was built for, which `validate_placement` re-checks on every model load
             self.input_host[unit]
         } else {
             self.unit_host[layer - 1][unit]
@@ -290,7 +299,9 @@ impl Assignment {
     ///
     /// Panics if `layer` is 0 (input units are pinned) or out of range.
     pub fn set_host(&mut self, layer: usize, unit: usize, host: NodeId) {
+        // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
         assert!(layer >= 1, "input units are pinned to their sensors");
+        // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
         self.unit_host[layer - 1][unit] = host;
     }
 
@@ -314,9 +325,12 @@ impl Assignment {
     /// Units hosted per node (computational units only).
     pub fn units_per_node(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.node_count];
-        for layer in &self.unit_host {
-            for host in layer {
-                counts[host.index()] += 1;
+        // Every constructor places units on nodes of its `node_count`-node
+        // topology; a host outside it (only a hand-edited placement can
+        // hold one) is not counted.
+        for host in self.unit_host.iter().flatten() {
+            if let Some(count) = counts.get_mut(host.index()) {
+                *count += 1;
             }
         }
         counts
@@ -356,12 +370,8 @@ pub(crate) fn producer_consumers(graph: &UnitGraph) -> Vec<Vec<Vec<usize>>> {
     let mut consumers: Vec<Vec<Vec<usize>>> = (0..graph.layer_count() - 1)
         .map(|l| vec![Vec::new(); graph.units_in_layer(l)])
         .collect();
-    for l in 1..graph.layer_count() {
-        for u in 0..graph.units_in_layer(l) {
-            for &d in graph.dependencies(l, u) {
-                consumers[l - 1][d].push(u);
-            }
-        }
+    for (l, producers) in (1..graph.layer_count()).zip(&mut consumers) {
+        add_consumers(graph, l, producers);
     }
     consumers
 }
@@ -372,14 +382,23 @@ pub(crate) fn reverse_dependencies(graph: &UnitGraph) -> Vec<Vec<Vec<usize>>> {
     let mut consumers: Vec<Vec<Vec<usize>>> = (1..graph.layer_count())
         .map(|l| vec![Vec::new(); graph.units_in_layer(l)])
         .collect();
-    for l in 2..graph.layer_count() {
-        for u in 0..graph.units_in_layer(l) {
-            for &d in graph.dependencies(l, u) {
-                consumers[l - 2][d].push(u);
+    for (l, producers) in (2..graph.layer_count()).zip(&mut consumers) {
+        add_consumers(graph, l, producers);
+    }
+    consumers
+}
+
+/// Appends each unit `u` of layer `l` to `producers[d]` for every
+/// dependency `d` it reads. The unit graph validates every dependency
+/// against the previous layer's size, so each `d` has a slot.
+fn add_consumers(graph: &UnitGraph, l: usize, producers: &mut [Vec<usize>]) {
+    for u in 0..graph.units_in_layer(l) {
+        for &d in graph.dependencies(l, u) {
+            if let Some(readers) = producers.get_mut(d) {
+                readers.push(u);
             }
         }
     }
-    consumers
 }
 
 fn bounding_box(topo: &Topology) -> (Point2, Point2) {

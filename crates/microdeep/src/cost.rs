@@ -113,13 +113,6 @@ impl CostModel {
         ledger
     }
 
-    /// Combined cost of one training step (forward + backward).
-    pub fn training_step_cost(&self, graph: &UnitGraph, assignment: &Assignment) -> TrafficLedger {
-        let fwd = self.forward_cost(graph, assignment);
-        let bwd = self.backward_cost(graph, assignment);
-        merged_ledger(self.node_count, &fwd, &bwd)
-    }
-
     /// Ratio of an assignment's maximal per-node cost to a baseline's —
     /// the paper reports MicroDeep at "just 13 %" of the standard
     /// version's peak traffic in the temperature experiment.
@@ -142,16 +135,6 @@ impl CostModel {
             Some(a as f64 / b as f64)
         }
     }
-}
-
-/// Merges two ledgers by per-node totals.
-fn merged_ledger(n: usize, a: &TrafficLedger, b: &TrafficLedger) -> TrafficLedger {
-    let mut merged = TrafficLedger::new(n);
-    for i in 0..n {
-        let node = zeiot_core::id::NodeId::new(i as u32);
-        merged.add_raw(node, a.tx(node) + b.tx(node), a.rx(node) + b.rx(node));
-    }
-    merged
 }
 
 #[cfg(test)]
@@ -348,20 +331,5 @@ mod tests {
         // symmetric even though BFS relay choices may differ per
         // direction.
         assert_eq!(fwd.total_cost(), bwd.total_cost());
-    }
-
-    #[test]
-    fn training_step_cost_is_sum_of_passes() {
-        let (graph, topo) = setup();
-        let model = CostModel::new(&topo);
-        let a = Assignment::balanced_correspondence(&graph, &topo);
-        let fwd = model.forward_cost(&graph, &a);
-        let bwd = model.backward_cost(&graph, &a);
-        let step = model.training_step_cost(&graph, &a);
-        assert_eq!(step.total_cost(), fwd.total_cost() + bwd.total_cost());
-        for i in 0..topo.len() {
-            let n = NodeId::new(i as u32);
-            assert_eq!(step.cost(n), fwd.cost(n) + bwd.cost(n));
-        }
     }
 }

@@ -9,7 +9,7 @@
 //! substituted by a degrade policy.
 //!
 //! The passes are the executor's (`crate::exec`) traversals over
-//! [`FabricLink`] instead of the in-memory link, so with
+//! `FabricLink` instead of the in-memory link, so with
 //! [`zeiot_fault::FaultPlan::lossless`] (whose fast path never perturbs a
 //! value) the lossy pass is **byte-for-byte identical** to the plain one.
 //! Under faults, all loss decisions are pure hashes of the message

@@ -301,11 +301,6 @@ impl QuantizedCnn {
         &self.config
     }
 
-    /// The calibrated input quantization scale.
-    pub fn input_scale(&self) -> f32 {
-        self.input_scale
-    }
-
     /// Usage and saturation counters accumulated so far.
     pub fn stats(&self) -> &QuantStats {
         &self.stats

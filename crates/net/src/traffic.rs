@@ -84,13 +84,6 @@ impl TrafficLedger {
         Some(path.len() - 1)
     }
 
-    /// Adds raw transmit/receive units to a node's counters, for merging
-    /// ledgers or importing externally computed traffic.
-    pub fn add_raw(&mut self, node: NodeId, tx: u64, rx: u64) {
-        self.tx[node.index()] += tx;
-        self.rx[node.index()] += rx;
-    }
-
     /// Records a single-hop broadcast from `src` heard by `receivers`.
     pub fn broadcast(&mut self, src: NodeId, receivers: &[NodeId], units: u64) {
         self.tx[src.index()] += units;

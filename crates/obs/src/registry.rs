@@ -51,7 +51,6 @@ pub const METRICS: &[&str] = &[
     "fusion.fused",                 // counter: multi-source fused rounds
     "mac.ap_resets",                // counter: access-point resets
     "mac.collisions",               // counter: slot collisions
-    "mac.deregistrations",          // counter: devices leaving the schedule
     "mac.dummy_frames",             // counter: dummy frames for idle slots
     "mac.grant_losses",             // counter: grants lost to brownout
     "mac.grants",                   // counter: slot grants issued

@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo run --release --example elderly_monitoring`
 
-use zeiot::backscatter::mac::{simulate, MacConfig, MacMode};
+use zeiot::backscatter::mac::{simulate, MacConfig, MacFaults, MacMode};
 use zeiot::core::id::NodeId;
 use zeiot::core::rng::SeedRng;
 use zeiot::core::time::SimDuration;
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Joule::from_microjoules(0.5),
         Joule::from_microjoules(0.4),
     )?;
-    let outcome = device.run(&workload, SimDuration::from_secs(120), &mut rng);
+    let outcome = device.run(&workload, SimDuration::from_secs(120), &mut rng, None);
     println!(
         "energy: duty cycle {:.0}% under corridor lighting ({} brownouts in 2 min)",
         outcome.duty_cycle * 100.0,
@@ -59,6 +59,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         MacMode::Scheduled,
         SimDuration::from_secs(30),
         &mut rng,
+        &MacFaults::none(),
+        None,
+        None,
     );
     println!(
         "mac: backscatter delivery {:.1}%, Wi-Fi delivery {:.1}%, dummy overhead {:.2}%",

@@ -60,11 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let capacity = registry.capacity_for(&prototype);
     println!("admission: {capacity} tags at one 32-byte report per 500 ms fit in 10% of the band");
     for i in 0..capacity.min(100) as u32 {
-        registry.register(Registration::new(
-            DeviceId::new(i),
-            SimDuration::from_millis(500),
-            32 * 8,
-        )?)?;
+        registry.register(
+            Registration::new(DeviceId::new(i), SimDuration::from_millis(500), 32 * 8)?,
+            None,
+        )?;
     }
     println!(
         "registered {} tags, band occupation {:.1}%",

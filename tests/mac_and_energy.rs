@@ -2,7 +2,7 @@
 //! together — a device must be admissible, reachable and energetically
 //! viable for its reports to arrive.
 
-use zeiot::backscatter::mac::{simulate, MacConfig, MacMode};
+use zeiot::backscatter::mac::{simulate, MacConfig, MacFaults, MacMode};
 use zeiot::backscatter::phy::BackscatterLink;
 use zeiot::backscatter::registry::{CycleRegistry, Registration};
 use zeiot::core::id::DeviceId;
@@ -26,7 +26,7 @@ fn admitted_devices_deliver_under_the_scheduled_mac() {
     let mut devices = Vec::new();
     for i in 0..capacity as u32 {
         let reg = Registration::new(DeviceId::new(i), SimDuration::from_millis(500), 256).unwrap();
-        registry.register(reg).unwrap();
+        registry.register(reg, None).unwrap();
         devices.push(reg);
     }
 
@@ -40,6 +40,9 @@ fn admitted_devices_deliver_under_the_scheduled_mac() {
         MacMode::Scheduled,
         SimDuration::from_secs(20),
         &mut rng,
+        &MacFaults::none(),
+        None,
+        None,
     );
     // Delivery approaches the configured link quality (0.9).
     assert!(
@@ -82,7 +85,7 @@ fn energy_budget_supports_the_registered_cycle() {
     )
     .unwrap();
     let mut rng = SeedRng::new(5);
-    let outcome = device.run(&task, SimDuration::from_secs(30), &mut rng);
+    let outcome = device.run(&task, SimDuration::from_secs(30), &mut rng, None);
     assert!(outcome.duty_cycle > 0.5, "duty={}", outcome.duty_cycle);
 }
 
@@ -102,6 +105,9 @@ fn link_quality_and_mac_success_are_consistent() {
         MacMode::Scheduled,
         SimDuration::from_secs(30),
         &mut rng,
+        &MacFaults::none(),
+        None,
+        None,
     );
     assert!(
         (report.backscatter_delivery_ratio() - success).abs() < 0.05,
@@ -120,6 +126,9 @@ fn naive_coexistence_collapses_under_load_scheduled_does_not() {
         MacMode::Scheduled,
         SimDuration::from_secs(20),
         &mut rng,
+        &MacFaults::none(),
+        None,
+        None,
     );
     let mut rng = SeedRng::new(7);
     let naive = simulate(
@@ -127,6 +136,9 @@ fn naive_coexistence_collapses_under_load_scheduled_does_not() {
         MacMode::Naive,
         SimDuration::from_secs(20),
         &mut rng,
+        &MacFaults::none(),
+        None,
+        None,
     );
     assert!(sched.backscatter_delivery_ratio() > naive.backscatter_delivery_ratio() + 0.2);
     assert!(sched.wlan_delivery_ratio() > naive.wlan_delivery_ratio() + 0.1);

@@ -2,12 +2,14 @@
 //! instrumented counters against the static cost model, observation
 //! transparency, the engine probe, and the JSONL export round trip.
 
-use zeiot::backscatter::mac::{simulate, simulate_observed, MacConfig, MacMode};
+use zeiot::backscatter::mac::{simulate, MacConfig, MacFaults, MacMode};
 use zeiot::core::id::NodeId;
 use zeiot::core::rng::SeedRng;
 use zeiot::core::time::{SimDuration, SimTime};
+use zeiot::fault::RecoveryPolicy;
 use zeiot::microdeep::{Assignment, CnnConfig, CostModel, TrafficInstrument};
 use zeiot::net::Topology;
+use zeiot::obs::trace::{TraceSampler, Tracer};
 use zeiot::obs::{from_jsonl, to_jsonl, write_jsonl, EngineProbe, Label, Recorder};
 use zeiot::sim::{Context, Engine, World};
 
@@ -47,17 +49,50 @@ fn instrumented_traffic_matches_the_static_cost_model() {
     }
 }
 
-/// Observing a simulation must not change it: the observed MAC run
-/// returns a report identical to the unobserved run with the same seed.
+/// Observing a simulation must not change it: a MAC run with a
+/// recorder, a tracer or both returns a report identical to the
+/// unobserved run with the same seed, under every fault-free
+/// configuration.
 #[test]
 fn observation_is_transparent_to_the_mac_simulation() {
     let config = MacConfig::default_with_devices(12).unwrap();
     let duration = SimDuration::from_secs(10);
+    let fault_free = [
+        MacFaults::none(),
+        MacFaults {
+            recovery: RecoveryPolicy::Retransmit {
+                max_retries: 2,
+                timeout: SimDuration::from_millis(5),
+                backoff: 2.0,
+            },
+            ..MacFaults::none()
+        },
+    ];
     for mode in [MacMode::Scheduled, MacMode::Naive] {
-        let plain = simulate(&config, mode, duration, &mut SeedRng::new(9));
-        let mut rec = Recorder::new();
-        let observed = simulate_observed(&config, mode, duration, &mut SeedRng::new(9), &mut rec);
-        assert_eq!(plain, observed, "{mode:?} diverged under observation");
+        for faults in &fault_free {
+            let plain = simulate(
+                &config,
+                mode,
+                duration,
+                &mut SeedRng::new(9),
+                faults,
+                None,
+                None,
+            );
+            for (record, trace) in [(true, false), (false, true), (true, true)] {
+                let (mut rec, mut tracer) = (Recorder::new(), Tracer::new(TraceSampler::always()));
+                let observed = simulate(
+                    &config,
+                    mode,
+                    duration,
+                    &mut SeedRng::new(9),
+                    faults,
+                    record.then_some(&mut rec),
+                    trace.then_some(&mut tracer),
+                );
+                assert_eq!(plain, observed, "{mode:?} diverged under observation");
+            }
+        }
     }
 }
 
@@ -90,12 +125,14 @@ fn engine_probe_agrees_with_the_engine() {
 fn jsonl_export_round_trips_through_a_file() {
     let config = MacConfig::default_with_devices(8).unwrap();
     let mut rec = Recorder::new();
-    simulate_observed(
+    simulate(
         &config,
         MacMode::Scheduled,
         SimDuration::from_secs(10),
         &mut SeedRng::new(3),
-        &mut rec,
+        &MacFaults::none(),
+        Some(&mut rec),
+        None,
     );
     let snap = rec.snapshot();
     assert!(!snap.counters.is_empty());

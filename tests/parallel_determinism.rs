@@ -29,64 +29,64 @@ fn assert_thread_invariant(name: &str, serial: &str, parallel: &str) {
 #[test]
 fn e1_report_is_thread_invariant() {
     let params = e1_temperature::Params::reduced();
-    let serial = e1_temperature::run_with(&params, &SweepRunner::serial()).to_json();
-    let parallel = e1_temperature::run_with(&params, &SweepRunner::new(4)).to_json();
+    let serial = e1_temperature::run(&params, &SweepRunner::serial()).to_json();
+    let parallel = e1_temperature::run(&params, &SweepRunner::new(4)).to_json();
     assert_thread_invariant("E1", &serial, &parallel);
 }
 
 #[test]
 fn e2_report_is_thread_invariant() {
     let params = e2_motion::Params::reduced();
-    let serial = e2_motion::run_with(&params, &SweepRunner::serial()).to_json();
-    let parallel = e2_motion::run_with(&params, &SweepRunner::new(4)).to_json();
+    let serial = e2_motion::run(&params, &SweepRunner::serial()).to_json();
+    let parallel = e2_motion::run(&params, &SweepRunner::new(4)).to_json();
     assert_thread_invariant("E2", &serial, &parallel);
 }
 
 #[test]
 fn e3_report_is_thread_invariant() {
     let params = e3_mac::Params::reduced();
-    let serial = e3_mac::run_with(&params, &SweepRunner::serial()).to_json();
-    let parallel = e3_mac::run_with(&params, &SweepRunner::new(4)).to_json();
+    let serial = e3_mac::run(&params, &SweepRunner::serial()).to_json();
+    let parallel = e3_mac::run(&params, &SweepRunner::new(4)).to_json();
     assert_thread_invariant("E3", &serial, &parallel);
 }
 
 #[test]
 fn e4_report_is_thread_invariant() {
     let params = e4_train::Params::reduced();
-    let serial = e4_train::run_with(&params, &SweepRunner::serial()).to_json();
-    let parallel = e4_train::run_with(&params, &SweepRunner::new(4)).to_json();
+    let serial = e4_train::run(&params, &SweepRunner::serial()).to_json();
+    let parallel = e4_train::run(&params, &SweepRunner::new(4)).to_json();
     assert_thread_invariant("E4", &serial, &parallel);
 }
 
 #[test]
 fn e5_report_is_thread_invariant() {
     let params = e5_counting::Params::reduced();
-    let serial = e5_counting::run_with(&params, &SweepRunner::serial()).to_json();
-    let parallel = e5_counting::run_with(&params, &SweepRunner::new(4)).to_json();
+    let serial = e5_counting::run(&params, &SweepRunner::serial()).to_json();
+    let parallel = e5_counting::run(&params, &SweepRunner::new(4)).to_json();
     assert_thread_invariant("E5", &serial, &parallel);
 }
 
 #[test]
 fn e6_report_is_thread_invariant() {
     let params = e6_csi::Params::reduced();
-    let serial = e6_csi::run_with(&params, &SweepRunner::serial()).to_json();
-    let parallel = e6_csi::run_with(&params, &SweepRunner::new(4)).to_json();
+    let serial = e6_csi::run(&params, &SweepRunner::serial()).to_json();
+    let parallel = e6_csi::run(&params, &SweepRunner::new(4)).to_json();
     assert_thread_invariant("E6", &serial, &parallel);
 }
 
 #[test]
 fn e7_report_is_thread_invariant() {
     let params = e7_link::Params::reduced();
-    let serial = e7_link::run_with(&params, &SweepRunner::serial()).to_json();
-    let parallel = e7_link::run_with(&params, &SweepRunner::new(4)).to_json();
+    let serial = e7_link::run(&params, &SweepRunner::serial()).to_json();
+    let parallel = e7_link::run(&params, &SweepRunner::new(4)).to_json();
     assert_thread_invariant("E7", &serial, &parallel);
 }
 
 #[test]
 fn e8_report_is_thread_invariant() {
     let params = e8_energy::Params::reduced();
-    let serial = e8_energy::run_with(&params, &SweepRunner::serial()).to_json();
-    let parallel = e8_energy::run_with(&params, &SweepRunner::new(4)).to_json();
+    let serial = e8_energy::run(&params, &SweepRunner::serial()).to_json();
+    let parallel = e8_energy::run(&params, &SweepRunner::new(4)).to_json();
     assert_thread_invariant("E8", &serial, &parallel);
 }
 
@@ -96,8 +96,8 @@ fn e8_report_is_thread_invariant() {
 #[test]
 fn e9_report_is_thread_invariant() {
     let params = e9_faults::Params::reduced();
-    let serial = e9_faults::run_with(&params, &SweepRunner::serial()).to_json();
-    let parallel = e9_faults::run_with(&params, &SweepRunner::new(4)).to_json();
+    let serial = e9_faults::run(&params, &SweepRunner::serial()).to_json();
+    let parallel = e9_faults::run(&params, &SweepRunner::new(4)).to_json();
     assert_thread_invariant("E9", &serial, &parallel);
 }
 
@@ -106,8 +106,8 @@ fn e9_report_is_thread_invariant() {
 #[test]
 fn e9_exported_snapshot_is_thread_invariant() {
     let params = e9_faults::Params::reduced();
-    let serial = e9_faults::run_with(&params, &SweepRunner::serial()).export_snapshot();
-    let parallel = e9_faults::run_with(&params, &SweepRunner::new(4)).export_snapshot();
+    let serial = e9_faults::run(&params, &SweepRunner::serial()).export_snapshot();
+    let parallel = e9_faults::run(&params, &SweepRunner::new(4)).export_snapshot();
     assert_eq!(serial, parallel);
 }
 
@@ -118,8 +118,8 @@ fn e9_exported_snapshot_is_thread_invariant() {
 #[test]
 fn e10_report_is_thread_invariant() {
     let params = e10_serving::Params::reduced();
-    let serial = e10_serving::run_with(&params, &SweepRunner::serial()).to_json();
-    let parallel = e10_serving::run_with(&params, &SweepRunner::new(4)).to_json();
+    let serial = e10_serving::run(&params, &SweepRunner::serial()).to_json();
+    let parallel = e10_serving::run(&params, &SweepRunner::new(4)).to_json();
     assert_thread_invariant("E10", &serial, &parallel);
 }
 
@@ -128,8 +128,8 @@ fn e10_report_is_thread_invariant() {
 #[test]
 fn e10_exported_snapshot_is_thread_invariant() {
     let params = e10_serving::Params::reduced();
-    let serial = e10_serving::run_with(&params, &SweepRunner::serial()).export_snapshot();
-    let parallel = e10_serving::run_with(&params, &SweepRunner::new(4)).export_snapshot();
+    let serial = e10_serving::run(&params, &SweepRunner::serial()).export_snapshot();
+    let parallel = e10_serving::run(&params, &SweepRunner::new(4)).export_snapshot();
     assert_eq!(serial, parallel);
 }
 
@@ -141,9 +141,8 @@ fn e10_exported_snapshot_is_thread_invariant() {
 #[test]
 fn e11_report_and_trace_jsonl_are_thread_invariant() {
     let params = e11_slo::Params::reduced();
-    let (serial_report, serial_traces) = e11_slo::run_with_traces(&params, &SweepRunner::serial());
-    let (parallel_report, parallel_traces) =
-        e11_slo::run_with_traces(&params, &SweepRunner::new(4));
+    let (serial_report, serial_traces) = e11_slo::run(&params, &SweepRunner::serial());
+    let (parallel_report, parallel_traces) = e11_slo::run(&params, &SweepRunner::new(4));
     assert_thread_invariant("E11", &serial_report.to_json(), &parallel_report.to_json());
     assert_eq!(
         traces_to_jsonl(&serial_traces),
@@ -159,8 +158,12 @@ fn e11_report_and_trace_jsonl_are_thread_invariant() {
 #[test]
 fn e11_exported_snapshot_is_thread_invariant() {
     let params = e11_slo::Params::reduced();
-    let serial = e11_slo::run_with(&params, &SweepRunner::serial()).export_snapshot();
-    let parallel = e11_slo::run_with(&params, &SweepRunner::new(4)).export_snapshot();
+    let serial = e11_slo::run(&params, &SweepRunner::serial())
+        .0
+        .export_snapshot();
+    let parallel = e11_slo::run(&params, &SweepRunner::new(4))
+        .0
+        .export_snapshot();
     assert_eq!(serial, parallel);
 }
 
@@ -171,10 +174,8 @@ fn e11_exported_snapshot_is_thread_invariant() {
 #[test]
 fn e12_report_and_trace_jsonl_are_thread_invariant() {
     let params = e12_quant::Params::reduced();
-    let (serial_report, serial_traces) =
-        e12_quant::run_with_traces(&params, &SweepRunner::serial());
-    let (parallel_report, parallel_traces) =
-        e12_quant::run_with_traces(&params, &SweepRunner::new(4));
+    let (serial_report, serial_traces) = e12_quant::run(&params, &SweepRunner::serial());
+    let (parallel_report, parallel_traces) = e12_quant::run(&params, &SweepRunner::new(4));
     assert_thread_invariant("E12", &serial_report.to_json(), &parallel_report.to_json());
     assert_eq!(
         traces_to_jsonl(&serial_traces),
@@ -190,8 +191,12 @@ fn e12_report_and_trace_jsonl_are_thread_invariant() {
 #[test]
 fn e12_exported_snapshot_is_thread_invariant() {
     let params = e12_quant::Params::reduced();
-    let serial = e12_quant::run_with(&params, &SweepRunner::serial()).export_snapshot();
-    let parallel = e12_quant::run_with(&params, &SweepRunner::new(4)).export_snapshot();
+    let serial = e12_quant::run(&params, &SweepRunner::serial())
+        .0
+        .export_snapshot();
+    let parallel = e12_quant::run(&params, &SweepRunner::new(4))
+        .0
+        .export_snapshot();
     assert_eq!(serial, parallel);
 }
 
@@ -200,8 +205,8 @@ fn e12_exported_snapshot_is_thread_invariant() {
 #[test]
 fn e8_exported_snapshot_is_thread_invariant() {
     let params = e8_energy::Params::reduced();
-    let serial = e8_energy::run_with(&params, &SweepRunner::serial()).export_snapshot();
-    let parallel = e8_energy::run_with(&params, &SweepRunner::new(4)).export_snapshot();
+    let serial = e8_energy::run(&params, &SweepRunner::serial()).export_snapshot();
+    let parallel = e8_energy::run(&params, &SweepRunner::new(4)).export_snapshot();
     assert_eq!(serial, parallel);
 }
 
@@ -210,9 +215,9 @@ fn e8_exported_snapshot_is_thread_invariant() {
 #[test]
 fn e8_report_is_invariant_at_odd_thread_counts() {
     let params = e8_energy::Params::reduced();
-    let serial = e8_energy::run_with(&params, &SweepRunner::serial()).to_json();
+    let serial = e8_energy::run(&params, &SweepRunner::serial()).to_json();
     for threads in [2usize, 3, 8] {
-        let parallel = e8_energy::run_with(&params, &SweepRunner::new(threads)).to_json();
+        let parallel = e8_energy::run(&params, &SweepRunner::new(threads)).to_json();
         assert_thread_invariant("E8", &serial, &parallel);
     }
 }
